@@ -2,9 +2,10 @@
 
 Parity is the load-bearing guarantee of the sweep runner: every
 experiment must produce *bit-identical* output whether its points run
-in-process or fan out over worker processes.  The expensive experiment
-ids are skipped unless ``REPRO_PARITY_FULL=1`` so the default suite
-stays fast; CI can opt into the exhaustive sweep.
+in-process or fan out over worker processes, and that output must match
+its committed golden digest (``tests/golden.json``).  The expensive
+experiment ids are skipped unless ``REPRO_PARITY_FULL=1`` so the default
+suite stays fast; CI's ``golden`` job opts into the exhaustive sweep.
 """
 
 import os
@@ -15,10 +16,8 @@ from repro.analysis.experiments import experiment_ids, run_experiment
 from repro.cache import ResultCache, cache_context
 from repro.config import TuningConfig
 from repro.core.casestudy import CaseStudy
-from tests.support import assert_bit_identical
-
-#: Experiments that take multiple seconds each even in quick mode.
-HEAVY = {"anecdotal", "fig3", "fig4", "fig5", "opt_steps", "wan"}
+from tests.golden_cases import HEAVY, golden
+from tests.support import assert_bit_identical, golden_digest
 
 _FULL = os.environ.get("REPRO_PARITY_FULL", "").strip() == "1"
 
@@ -27,7 +26,8 @@ PAYLOADS = [1024, 8192]  # two cheap points for sweep-level cache tests
 
 @pytest.mark.parametrize("name", experiment_ids())
 def test_experiment_parity_serial_vs_parallel(name):
-    """jobs=1 and jobs=4 must agree bit-for-bit, data and text."""
+    """jobs=1 and jobs=4 must agree bit-for-bit, data and text, and
+    match the golden digest."""
     if name in HEAVY and not _FULL:
         pytest.skip("heavy experiment; set REPRO_PARITY_FULL=1 to run")
     with cache_context(False):
@@ -35,6 +35,8 @@ def test_experiment_parity_serial_vs_parallel(name):
         parallel = run_experiment(name, quick=True, jobs=4)
     assert serial.text == parallel.text
     assert_bit_identical(serial.data, parallel.data, path=name)
+    assert golden_digest(serial.text, serial.data) == \
+        golden("experiments", name)
 
 
 def test_cache_hit_equals_cold_run(tmp_path):
