@@ -39,13 +39,7 @@ Beyond the pytest-benchmark suite the script also records simulator
 metrics into the archived JSON (under ``repro_metrics``):
 
 - events-simulated/sec and the mean transmit-train size on the
-  reference nttcp workload,
-- a deep-queue scheduler microbench gating that the calendar-queue
-  backend beats the binary heap by at least ``--scheduler-threshold``
-  (default 15%) at ~20k pending timers,
-- with ``--figure-sweep``, the Fig. 3 MTU sweep + WAN benchmark wall
-  times for legacy+heap vs batched+calendar, their speedup, and a
-  bit-identical cross-check of the experiment data.
+  reference nttcp workload.
 
 Finally, ``--lint-clean`` runs reprolint (``python -m repro.lint``, see
 docs/LINTING.md) over ``src/repro`` against the committed baseline and
@@ -60,7 +54,6 @@ Usage::
     python scripts/bench_compare.py --baseline benchmarks/results/BENCH_abc1234.json
     python scripts/bench_compare.py --threshold 0.10
     python scripts/bench_compare.py --trace-overhead-only
-    python scripts/bench_compare.py --figure-sweep  # + train/scheduler bench
     python scripts/bench_compare.py --lint-clean    # reprolint gate + stamp
 """
 
@@ -154,9 +147,8 @@ def measure_engine_metrics() -> Dict[str, float]:
     ``test_tcp_segment_rate`` microbench (jumbo-frame nttcp over a
     back-to-back pair) and reports throughput of the *simulator itself*:
     total events scheduled, wall time, events/sec, and the mean number
-    of frames per transmit train (1.0 when ``REPRO_TRAIN`` batching is
-    off, larger when the sender is emitting back-to-back bursts as one
-    scheduled unit).
+    of frames per transmit train (larger when the sender is emitting
+    back-to-back bursts as one scheduled unit).
     """
     sys.path.insert(0, str(ROOT / "src"))
     from time import perf_counter
@@ -182,138 +174,6 @@ def measure_engine_metrics() -> Dict[str, float]:
         "segments": 512.0,
         "bytes_delivered": float(result.bytes_delivered),
     }
-
-
-def measure_scheduler_microbench(depth: int = 100_000, rounds: int = 5,
-                                 repeats: int = 3) -> Dict[str, float]:
-    """Deep-pending-queue scheduler shootout: heap vs calendar.
-
-    Keeps ~``depth`` timers pending while churning ``depth * rounds``
-    schedule/dispatch pairs — the regime where the heap pays
-    O(log depth) per operation and the calendar queue pays O(1).
-    Returns best-of-``repeats`` wall time per backend (interleaved so
-    machine drift hits both alike).
-    """
-    sys.path.insert(0, str(ROOT / "src"))
-    from time import perf_counter
-
-    from repro.sim.engine import Environment
-
-    def run(kind: str) -> float:
-        env = Environment(scheduler=kind)
-        horizon = depth * 1e-6
-
-        def rearm(remaining: int) -> None:
-            if remaining:
-                env.schedule_call(horizon, rearm, remaining - 1)
-
-        for i in range(depth):
-            env.schedule_call((i + 1) * 1e-6, rearm, rounds)
-        start = perf_counter()
-        env.run()
-        return perf_counter() - start
-
-    best = {"heap": float("inf"), "calendar": float("inf")}
-    for _ in range(repeats):
-        for kind in ("heap", "calendar"):
-            best[kind] = min(best[kind], run(kind))
-    return best
-
-
-def check_scheduler_microbench(threshold: float,
-                               repeats: int) -> tuple:
-    """Gate: the calendar queue must beat the heap by ``threshold``.
-
-    Returns ``(ok, times)`` where ``times`` holds the best wall time per
-    backend plus the measured speedup.
-    """
-    print(f"\nscheduler deep-queue microbench (best of {repeats}, "
-          f"~100000 pending timers):")
-    times = measure_scheduler_microbench(repeats=repeats)
-    speedup = times["heap"] / times["calendar"]
-    times["calendar_speedup"] = speedup
-    for kind in ("heap", "calendar"):
-        print(f"  {kind:<9}  {times[kind]:>10.6f} s")
-    if speedup < 1.0 + threshold:
-        print(f"\nFAIL: calendar queue is only {speedup:.2f}x the heap on "
-              f"the deep-queue microbench (needs >= {1.0 + threshold:.2f}x).")
-        return False, times
-    print(f"OK: calendar queue is {speedup:.2f}x the heap "
-          f"(gate {1.0 + threshold:.2f}x).")
-    return True, times
-
-
-_SWEEP_DRIVER = r"""
-import hashlib, json, sys, time
-from repro.analysis.experiments import run_experiment
-t0 = time.perf_counter()
-data = run_experiment(sys.argv[1], quick=True).data
-wall = time.perf_counter() - t0
-# default=str renders dataclass reprs, which print floats at full repr
-# precision — hashing the dump is a bit-identity check.
-blob = json.dumps(data, sort_keys=True, default=str)
-json.dump({"wall": wall,
-           "sha": hashlib.sha256(blob.encode()).hexdigest()}, sys.stdout)
-"""
-
-
-def measure_figure_sweep(repeats: int = 2) -> Dict[str, object]:
-    """Figure-sweep speedup: batched+calendar vs legacy+heap.
-
-    Runs the Fig. 3 MTU sweep and the WAN benchmark (quick mode) under
-    both data paths — train batching off on the binary heap (the PR 2
-    path) vs batching on under the calendar queue — and reports wall
-    times, the speedup, and whether the two variants produced
-    bit-identical experiment data (the determinism contract: batching
-    and the scheduler backend are pure performance knobs).
-
-    Each run happens in a fresh subprocess (both knobs are captured at
-    component construction, and a cold interpreter is how experiments
-    actually run); variants are interleaved best-of-``repeats`` so
-    machine drift hits both alike.
-    """
-    variants = {
-        "legacy": {"REPRO_TRAIN": "0", "REPRO_SCHEDULER": "heap"},
-        "batched": {"REPRO_TRAIN": "1", "REPRO_SCHEDULER": "calendar"},
-    }
-    experiments = ("fig3", "wan")
-
-    def run_one(exp: str, knobs: Dict[str, str]) -> Dict[str, object]:
-        env = dict(os.environ, **knobs)
-        env["PYTHONPATH"] = (str(ROOT / "src") + os.pathsep
-                             + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_DRIVER, exp],
-            cwd=ROOT, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"figure-sweep run failed ({exp}, {knobs}):\n"
-                             f"{proc.stderr[-2000:]}")
-        return json.loads(proc.stdout)
-
-    walls: Dict[str, Dict[str, float]] = {n: {} for n in variants}
-    shas: Dict[str, Dict[str, str]] = {n: {} for n in variants}
-    for _ in range(repeats):
-        for exp in experiments:
-            for name, knobs in variants.items():
-                result = run_one(exp, knobs)
-                prev = walls[name].get(exp, float("inf"))
-                walls[name][exp] = min(prev, result["wall"])
-                shas[name][exp] = result["sha"]
-    report: Dict[str, object] = {"experiments": "fig3+wan (quick)"}
-    total = {n: sum(walls[n].values()) for n in variants}
-    for exp in experiments:
-        report[exp] = {
-            "wall_legacy_s": walls["legacy"][exp],
-            "wall_batched_s": walls["batched"][exp],
-            "speedup": walls["legacy"][exp] / walls["batched"][exp],
-            "bit_identical": shas["legacy"][exp] == shas["batched"][exp],
-        }
-    report["wall_legacy_s"] = total["legacy"]
-    report["wall_batched_s"] = total["batched"]
-    report["speedup"] = total["legacy"] / total["batched"]
-    report["bit_identical"] = all(report[e]["bit_identical"]
-                                  for e in experiments)
-    return report
 
 
 def measure_lint_clean() -> Dict[str, object]:
@@ -807,18 +667,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run only the stream-overhead bench")
     parser.add_argument("--skip-stream-overhead", action="store_true",
                         help="skip the stream-overhead bench")
-    parser.add_argument("--scheduler-threshold", type=float, default=0.15,
-                        help="minimum calendar-vs-heap advantage on the "
-                             "deep-queue microbench (default 0.15 = 15%%)")
-    parser.add_argument("--scheduler-repeats", type=int, default=3,
-                        help="repeats for the scheduler microbench "
-                             "(best-of; default 3)")
-    parser.add_argument("--skip-scheduler-bench", action="store_true",
-                        help="skip the deep-queue scheduler microbench")
-    parser.add_argument("--figure-sweep", action="store_true",
-                        help="also run the fig3+wan figure-sweep speedup "
-                             "bench (batched+calendar vs legacy+heap; "
-                             "adds minutes)")
     parser.add_argument("--fabric-threshold", type=float, default=0.05,
                         help="maximum tolerated hybrid-vs-DES aggregate "
                              "goodput deviation on the validation fabric "
@@ -917,11 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  events/sec         {metrics['events_per_sec']:>12,.0f}")
     print(f"  mean train size    {metrics['mean_train_size']:>12.2f}")
 
-    sched_ok = True
-    if not args.skip_scheduler_bench:
-        sched_ok, sched_times = check_scheduler_microbench(
-            args.scheduler_threshold, args.scheduler_repeats)
-        extra["scheduler_microbench"] = sched_times
     chaos_ok = True
     if not args.skip_chaos_overhead:
         chaos_ok, chaos_times = check_chaos_overhead(
@@ -941,27 +784,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.skip_cache_bench:
         cache_ok, cache_metrics = measure_cache_bench(args.cache_speedup)
         extra["cache"] = cache_metrics
-    if args.figure_sweep:
-        sweep = measure_figure_sweep()
-        extra["figure_sweep"] = sweep
-        print(f"\nfigure-sweep bench (quick): batched+calendar vs "
-              f"legacy+heap")
-        for exp in ("fig3", "wan"):
-            s = sweep[exp]
-            ident = "bit-identical" if s["bit_identical"] else \
-                "RESULTS DIFFER"
-            print(f"  {exp:<5} legacy {s['wall_legacy_s']:6.2f} s  batched "
-                  f"{s['wall_batched_s']:6.2f} s  {s['speedup']:.2f}x  "
-                  f"[{ident}]")
-        print(f"  total speedup {sweep['speedup']:.2f}x")
-        if not sweep["bit_identical"]:
-            print("\nFAIL: figure-sweep results are not bit-identical "
-                  "between the legacy and batched data paths.")
-            record_extra_metrics(out_path, extra)
-            return 1
     record_extra_metrics(out_path, extra)
-    if (not sched_ok or not chaos_ok or not stream_ok or not fabric_ok
-            or not cache_ok):
+    if not chaos_ok or not stream_ok or not fabric_ok or not cache_ok:
         return 1
     if not args.skip_trace_overhead:
         if not check_trace_overhead(args.trace_threshold, args.trace_repeats):

@@ -96,7 +96,7 @@ bursts, reordering, corruption, duplicates, switch-buffer degradation,
 NIC stalls/resets, CPU contention — described by a JSON `FaultPlan`
 and armed with `chaos_session(plan)`, the `--chaos PLAN.json` CLI flag
 or `REPRO_CHAOS=plan.json`.  Outcomes are deterministic per plan seed
-across both schedulers and both data paths; the empty plan is
+(pinned by golden digests in `tests/golden.json`); the empty plan is
 byte-identical to chaos off, and the active plan's fingerprint is
 folded into every result-cache key so chaotic and clean results never
 alias.  `repro.chaos.analyze_goodput` + `render_scorecard` score each
@@ -109,15 +109,14 @@ storm (the paper's §5 "one loss costs ~1.5 hours" arithmetic:
 
 ## Engine performance
 
-Two engine-level switches trade event count for speed with
-**bit-identical** simulation results (see `docs/PERFORMANCE.md`):
-segment-train batching (`REPRO_TRAIN`, default on) moves contiguous
-frame bursts through the NIC/bus/network layers as one scheduled unit,
-and the event-queue backend (`REPRO_SCHEDULER=heap|calendar`, or
-`Environment(scheduler=...)`) selects between the binary heap and a
-self-resizing calendar queue that wins on deep pending queues.
-`scripts/bench_compare.py` records events/sec, mean train size and the
-scheduler microbench into `benchmarks/results/BENCH_<rev>.json`.
+The data path moves contiguous frame bursts through the NIC, bus and
+network layers as segment trains — callback chains that charge every
+per-frame cost arithmetically instead of waking a process per frame —
+over a binary-heap event queue (see `docs/PERFORMANCE.md`).  Results
+are pinned by the golden-digest corpus (`tests/golden.json`,
+regenerated with `python scripts/gen_golden.py`).
+`scripts/bench_compare.py` records events/sec and mean train size into
+`benchmarks/results/BENCH_<rev>.json`.
 """
 
 

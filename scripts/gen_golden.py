@@ -9,13 +9,8 @@ regenerated on purpose:
 
     python scripts/gen_golden.py
 
-Every digest is computed under all four engine configurations
-(segment-train or legacy per-segment data path x heap or calendar
-event queue), each in a fresh interpreter, and nothing is written
-unless all four agree.  Event counts legitimately differ between the
-two data paths; they must agree across the event queues, and the
-train path's (default) value is pinned.
-
+The script refuses to run while a ``REPRO_*`` variable that changes
+simulated results (``affects_results`` in ``repro.core.knobs``) is set.
 The corpus also records the interpreter's ``major.minor``: float
 results can differ in the last bit between Python versions (3.12 made
 built-in ``sum`` compensated), so the digests are checked only under
@@ -25,75 +20,42 @@ the version that generated them.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-#: (REPRO_TRAIN, REPRO_SCHEDULER) combinations that must agree
-COMBOS = (("1", "heap"), ("0", "heap"), ("1", "calendar"), ("0", "calendar"))
-
-
-def emit() -> dict:
-    """Digests under the current environment's engine configuration."""
-    from repro.analysis.experiments import experiment_ids
-    from tests.golden_cases import cases, event_counts, experiment_digest
-    from tests.support import golden_digest
-
-    return {
-        "experiments": {name: experiment_digest(name)
-                        for name in experiment_ids()},
-        "cases": {name: golden_digest(thunk())
-                  for name, thunk in cases().items()},
-        "events_scheduled": {name: thunk()
-                             for name, thunk in event_counts().items()},
-    }
-
-
-def _emit_under(train: str, scheduler: str) -> dict:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(REPRO_TRAIN=train, REPRO_SCHEDULER=scheduler)
-    proc = subprocess.run([sys.executable, __file__, "--emit"], env=env,
-                          cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    return json.loads(proc.stdout)
+from repro.analysis.experiments import experiment_ids  # noqa: E402
+from repro.core.knobs import ENV_KNOBS, env_raw  # noqa: E402
+from tests.golden_cases import (GOLDEN_PATH, case_digest, cases,  # noqa: E402
+                                event_counts, experiment_digest,
+                                interpreter)
 
 
 def main() -> int:
-    if sys.argv[1:] == ["--emit"]:
-        json.dump(emit(), sys.stdout)
-        return 0
-    from tests.golden_cases import GOLDEN_PATH, interpreter
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        runs = dict(zip(COMBOS, pool.map(lambda c: _emit_under(*c), COMBOS)))
-    reference = runs[COMBOS[0]]
-    for (train, scheduler), run in runs.items():
-        for section in ("experiments", "cases"):
-            diverged = sorted(name for name in reference[section]
-                              if run[section][name] != reference[section][name])
-            if diverged:
-                print(f"REPRO_TRAIN={train} REPRO_SCHEDULER={scheduler}: "
-                      f"{section} diverge: {', '.join(diverged)}",
-                      file=sys.stderr)
-                return 1
-        twin = runs[(train, "heap")]
-        if run["events_scheduled"] != twin["events_scheduled"]:
-            print(f"REPRO_TRAIN={train}: event counts differ between the "
-                  "heap and calendar queues", file=sys.stderr)
-            return 1
-    reference["python"] = interpreter()
-    text = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    set_knobs = sorted(name for name, knob in ENV_KNOBS.items()
+                       if knob.affects_results and env_raw(name) is not None)
+    if set_knobs:
+        print(f"gen_golden: unset {', '.join(set_knobs)} first; "
+              "they change simulated results", file=sys.stderr)
+        return 2
+    corpus = {
+        "experiments": {name: experiment_digest(name)
+                        for name in experiment_ids()},
+        "cases": {name: case_digest(name) for name in cases()},
+        "events_scheduled": {name: thunk()
+                             for name, thunk in event_counts().items()},
+        "python": interpreter(),
+    }
+    text = json.dumps(corpus, indent=2, sort_keys=True) + "\n"
+    old = GOLDEN_PATH.read_text(encoding="utf-8") if GOLDEN_PATH.exists() else ""
     GOLDEN_PATH.write_text(text, encoding="utf-8")
-    print(f"{GOLDEN_PATH.relative_to(ROOT)}: "
-          f"{len(reference['experiments'])} experiments, "
-          f"{len(reference['cases'])} cases; all {len(COMBOS)} engine "
-          "configurations agree")
+    state = "unchanged" if text == old else "regenerated"
+    print(f"{GOLDEN_PATH.relative_to(ROOT)}: {state} "
+          f"({len(corpus['experiments'])} experiments, "
+          f"{len(corpus['cases'])} cases)")
     return 0
 
 

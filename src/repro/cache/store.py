@@ -11,14 +11,11 @@ Layout (format v2)::
         ...
         ff/
 
-Entries keep the v1 on-disk format (magic header + SHA-256 payload
-digest + pickle), so a v1 flat cache is *migrated*, never invalidated:
-on first open, top-level ``<key>.pkl`` files are renamed into their
-shard directories and indexed — a pure metadata move with no
-recompute.  A concurrent legacy writer is also tolerated: a miss in
-the sharded slot falls back to the flat path and adopts the entry.
+Each entry is a magic header + SHA-256 payload digest + pickle.  Top-
+level ``<key>.pkl`` files of the original flat (v1) layout are not
+read: such a key is a miss and is recomputed into its shard.
 
-Three tiers answer a ``get``:
+Two tiers answer a ``get``:
 
 1. **hot tier** — an in-process LRU of recently *read* values; repeat
    lookups skip the filesystem and unpickling entirely.  Values are
@@ -27,7 +24,6 @@ Three tiers answer a ``get``:
 2. **sharded file** — one ``open``/``read`` at a path derived from the
    key prefix; the magic header and payload digest reject torn or
    corrupt files, which are dropped and recomputed.
-3. **flat fallback** — the v1 location, adopted into the shard on hit.
 
 Each shard carries a compact append-only JSONL **index** (key → size,
 last-use time) written with single ``O_APPEND`` writes so concurrent
@@ -72,8 +68,6 @@ def _metrics():
     return _active_metrics()
 
 #: File header: identifies cache entries and their format revision.
-#: Deliberately unchanged from the flat v1 layout — entry *files* are
-#: compatible in both directions; only their placement moved.
 _MAGIC = b"RPROCACHE1\n"
 
 #: Marker file recording the directory layout revision.
@@ -318,7 +312,7 @@ class ResultCache:
             else _env_int("REPRO_CACHE_HOT_ENTRIES", _HOT_ENTRIES_DEFAULT),
             hot_bytes if hot_bytes is not None
             else _env_int("REPRO_CACHE_HOT_BYTES", _HOT_BYTES_DEFAULT))
-        self._migrated = False
+        self._laid_out = False
 
     # -- keys ---------------------------------------------------------------
     def key(self, *parts: Any) -> str:
@@ -338,46 +332,17 @@ class ResultCache:
     def _file(self, key: str) -> pathlib.Path:
         return self.path / self._shard_name(key) / f"{key}.pkl"
 
-    def _flat_file(self, key: str) -> pathlib.Path:
-        return self.path / f"{key}.pkl"
-
-    # -- v1 migration --------------------------------------------------------
-    def _ensure_migrated(self) -> None:
-        """Adopt a v1 flat layout on first touch (rename, no recompute)."""
-        if self._migrated:
+    def _ensure_layout(self) -> None:
+        """Create the cache directory and its format marker on first
+        touch."""
+        if self._laid_out:
             return
-        self._migrated = True
+        self._laid_out = True
         marker = self.path / _FORMAT_FILE
-        if not self.path.is_dir():
-            with contextlib.suppress(OSError):
-                self.path.mkdir(parents=True, exist_ok=True)
-                marker.write_text(_FORMAT_VERSION + "\n")
-            return
-        if not marker.exists():
-            with contextlib.suppress(OSError):
-                marker.write_text(_FORMAT_VERSION + "\n")
-        moved = False
-        for flat in self.path.glob("*.pkl"):
-            key = flat.stem
-            if len(key) <= _SHARD_WIDTH:
-                continue
-            with contextlib.suppress(OSError):
-                size = flat.stat().st_size
-                target = self._file(key)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, target)  # atomic; racing openers tolerate
-                self._shard(key).upsert(key, size, time.time())
-                moved = True
-        if moved:
-            self._publish_bytes()
-
-    def _adopt_flat(self, key: str, blob: bytes) -> None:
-        """Move one legacy entry (written flat by an old process) over."""
         with contextlib.suppress(OSError):
-            target = self._file(key)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self._flat_file(key), target)
-            self._shard(key).upsert(key, len(blob), time.time())
+            self.path.mkdir(parents=True, exist_ok=True)
+            if not marker.exists():
+                marker.write_text(_FORMAT_VERSION + "\n")
 
     # -- telemetry -----------------------------------------------------------
     def _count(self, point: str, amount: int = 1) -> None:
@@ -405,21 +370,16 @@ class ResultCache:
             self.hot_hits += 1
             self._count("cache.hits")
             return True, value
-        self._ensure_migrated()
-        flat = False
+        self._ensure_layout()
         try:
             blob = self._file(key).read_bytes()
         except OSError:
-            try:  # legacy fallback: a concurrent v1 writer
-                blob = self._flat_file(key).read_bytes()
-                flat = True
-            except OSError:
-                self.misses += 1
-                self._count("cache.misses")
-                shard = self._shard(key)
-                shard.load()
-                shard.remove(key)  # reconcile a dangling index record
-                return False, None
+            self.misses += 1
+            self._count("cache.misses")
+            shard = self._shard(key)
+            shard.load()
+            shard.remove(key)  # reconcile a dangling index record
+            return False, None
         try:
             if not blob.startswith(_MAGIC):
                 raise ValueError("bad magic")
@@ -433,28 +393,23 @@ class ResultCache:
             self.errors += 1
             self.misses += 1
             self._count("cache.misses")
-            path = self._flat_file(key) if flat else self._file(key)
             with contextlib.suppress(OSError):
-                path.unlink()
-            if not flat:
-                self._shard(key).remove(key)
+                self._file(key).unlink()
+            self._shard(key).remove(key)
             return False, None
         self.hits += 1
         self._count("cache.hits")
-        if flat:
-            self._adopt_flat(key, blob)
-        else:
-            shard = self._shard(key)
-            shard.load()
-            if key not in shard.entries:
-                # adopted: another process stored it after our load
-                shard.upsert(key, len(blob), time.time(), persist=False)
-            elif self.max_bytes is not None:
-                # under a size cap reads refresh LRU recency
-                now = time.time()
-                with contextlib.suppress(OSError):
-                    os.utime(self._file(key), (now, now))
-                shard.upsert(key, shard.entries[key][0], now)
+        shard = self._shard(key)
+        shard.load()
+        if key not in shard.entries:
+            # adopted: another process stored it after our load
+            shard.upsert(key, len(blob), time.time(), persist=False)
+        elif self.max_bytes is not None:
+            # under a size cap reads refresh LRU recency
+            now = time.time()
+            with contextlib.suppress(OSError):
+                os.utime(self._file(key), (now, now))
+            shard.upsert(key, shard.entries[key][0], now)
         self._hot.put(key, value, len(payload))
         return True, value
 
@@ -470,7 +425,7 @@ class ResultCache:
         blob = (_MAGIC
                 + hashlib.sha256(payload).hexdigest().encode()
                 + payload)
-        self._ensure_migrated()
+        self._ensure_layout()
         try:
             target = self._file(key)
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -529,17 +484,12 @@ class ResultCache:
     def invalidate(self, key: str) -> bool:
         """Drop one entry; True when something was removed."""
         self._hot.pop(key)
-        removed = False
         try:
             self._file(key).unlink()
-            removed = True
         except OSError:
-            with contextlib.suppress(OSError):
-                self._flat_file(key).unlink()
-                removed = True
-        if removed:
-            self._shard(key).remove(key)
-        return removed
+            return False
+        self._shard(key).remove(key)
+        return True
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
@@ -563,15 +513,14 @@ class ResultCache:
             shard._close_fd()
         self._shards.clear()
         self._hot.clear()
-        self._migrated = False
+        self._laid_out = False
 
     def _iter_entries(self) -> Iterator[pathlib.Path]:
         if self.path.is_dir():
-            yield from self.path.glob("*.pkl")        # v1 leftovers
-            yield from self.path.glob("*/*.pkl")      # sharded entries
+            yield from self.path.glob("*/*.pkl")
 
     def _load_all_shards(self) -> None:
-        self._ensure_migrated()
+        self._ensure_layout()
         if self.path.is_dir():
             for entry in self.path.iterdir():
                 if (entry.is_dir() and len(entry.name) == _SHARD_WIDTH

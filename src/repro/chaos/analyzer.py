@@ -2,9 +2,8 @@
 
 Consumes post-hoc series — a fluid model's ``(time_s, throughput_bps)``
 arrays, a DES monitor, or telemetry events — rather than sampling
-inside the simulation, so the analysis can never perturb the run (and
-cannot introduce train-on/off divergence through same-instant sampling
-events).
+inside the simulation, so the analysis can never perturb the run (no
+same-instant sampling events reorder it).
 
 Per fault the analyzer reports the quantities the paper's §5
 back-of-envelope reasons about: the goodput **trough**, the

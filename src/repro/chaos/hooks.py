@@ -99,8 +99,7 @@ def attach_environment(env: Any) -> None:
     created and its arm/fire/recover events are scheduled up-front, so
     they carry the lowest sequence numbers at their instants and win
     FIFO ties against frame deliveries — the property that makes fault
-    boundaries identical across the heap/calendar schedulers and the
-    train on/off data paths.
+    boundaries deterministic.
     """
     session = active_chaos()
     if session is not None:

@@ -3,25 +3,21 @@
 Two families live here:
 
 * the **deterministic index taps** (:class:`LossTap`,
-  :class:`DuplicateTap`, :class:`ReorderTap`) — moved from the original
-  ``repro.net.faults`` module (which now re-exports them with a
-  deprecation warning).  They perturb specific per-kind arrival indices
-  so a failing case replays exactly; property tests drive TCP's
-  recovery machinery through them.
+  :class:`DuplicateTap`, :class:`ReorderTap`), importable from
+  :mod:`repro.chaos.taps` or :mod:`repro.chaos`.  They perturb specific
+  per-kind arrival indices so a failing case replays exactly; property
+  tests drive TCP's recovery machinery through them.
 * the **time-gated** :class:`SinkTap` used by the
   :class:`~repro.chaos.injector.ChaosInjector`: installed once at
   simulation time zero (before any frame is in flight) and switched on
   and off purely by fault windows.
 
-The install-at-t=0 rule is what keeps plans deterministic across the
-batched and legacy data paths: the legacy per-frame path captures a
-link's sink *when serialization ends*, while the segment-train path
-reads it *at delivery* — swapping a sink mid-run would therefore
-diverge for frames already in propagation.  A wrapper that is always
-present but only acts inside its windows sidesteps the hazard entirely;
-and because both paths deliver frames one-by-one at bit-identical
-instants, in-flight segment trains are split at fault boundaries
-exactly like legacy per-frame delivery.
+The install-at-t=0 rule keeps plans deterministic: a link reads its
+sink *at delivery*, so swapping a sink mid-run would also catch frames
+already in propagation.  A wrapper that is always present but only acts
+inside its windows sidesteps the hazard entirely; and because frames
+are delivered one by one, in-flight segment trains are split exactly
+at fault boundaries.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ class EnvKnob:
     Attributes
     ----------
     name:
-        The environment variable, e.g. ``"REPRO_TRAIN"``.
+        The environment variable, e.g. ``"REPRO_HYBRID"``.
     default:
         The *parsed* value when the variable is unset.
     parse:
@@ -249,17 +249,6 @@ def _register_env(name: str, default: Any,
                               keyed_via=keyed_via, description=description)
 
 
-_register_env(
-    "REPRO_TRAIN", True, parse_on_flag,
-    affects_results=False, keyed_via="none",
-    description="Train-batched data path (default on); the legacy "
-                "per-segment path is bit-identical by contract, so the "
-                "toggle is speed-only.")
-_register_env(
-    "REPRO_SCHEDULER", None, _parse_optional_str,
-    affects_results=False, keyed_via="none",
-    description="Event-queue backend (heap/calendar); both orderings "
-                "are bit-identical by contract.")
 _register_env(
     "REPRO_JOBS", None, _parse_optional_str,
     affects_results=False, keyed_via="none",

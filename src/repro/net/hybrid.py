@@ -357,8 +357,7 @@ class FabricSimulation:
                  max_window_bytes: float = 256 * 1024,
                  stagger_s: float = 20e-6,
                  tick_s: Optional[float] = None,
-                 seed: int = 1,
-                 scheduler: Optional[str] = None):
+                 seed: int = 1):
         if not pairs:
             raise ProtocolError("need at least one flow pair")
         if n_foreground < 1:
@@ -378,7 +377,6 @@ class FabricSimulation:
         self.max_window_bytes = max_window_bytes
         self.stagger_s = stagger_s
         self.seed = seed
-        self.scheduler = scheduler
         self._tick_s = tick_s
         # deterministic per-flow routes, shared by both modes
         self.routes: List[List[int]] = [
@@ -416,7 +414,7 @@ class FabricSimulation:
         # wall_s is operator-facing reporting; it never enters the
         # cached/compared result rows
         wall_start = perf_counter()  # reprolint: disable=RPR002
-        env = Environment(scheduler=self.scheduler)
+        env = Environment()
         links = self.topo.links
         wmax_segments = max(2.0, self.max_window_bytes / self.mss)
 

@@ -5,16 +5,9 @@ Design notes
 
 * The event queue stores ``(time, sequence, Event)`` tuples.  The
   monotonically increasing sequence number guarantees FIFO ordering
-  among same-time events, so runs are bit-for-bit deterministic.  Two
-  interchangeable backends implement the queue: a binary heap (the
-  default) and a self-resizing :class:`CalendarQueue` (select with
-  ``REPRO_SCHEDULER=calendar`` or the ``scheduler=`` constructor
-  argument).  Both pop in exact ``(time, sequence)`` order, so the
-  backend choice never changes simulation results — only wall-clock
-  speed.  :meth:`Environment.swap_scheduler` migrates still-pending
-  events between backends mid-run; the calendar queue requests an
-  automatic fallback to the heap when the event-time distribution
-  defeats its bucketing heuristics.
+  among same-time events, so runs are bit-for-bit deterministic.  The
+  queue is a binary heap (``heapq``, C-implemented); the data path keeps
+  it shallow, where a heap beats bucketed alternatives.
 * Processes are plain Python generators.  A process yields an
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
@@ -38,179 +31,15 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.chaos.hooks import attach_environment as _attach_chaos
 from repro.errors import ScheduleInPastError, SimulationError
+from repro.telemetry.profiling import callback_component as _callback_component
 from repro.telemetry.profiling import component_of as _component_of
-from repro.telemetry.session import active_metrics as _active_metrics
 from repro.telemetry.session import attach_environment as _attach_environment
 
 __all__ = ["Environment", "Event", "Timeout", "Process", "Interrupt",
-           "CalendarQueue", "PeriodicCall"]
+           "PeriodicCall"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
-
-#: environment variable selecting the event-queue backend
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-_SCHEDULERS = ("heap", "calendar")
-
-
-class CalendarQueue:
-    """Self-resizing bucketed event queue (a calendar queue).
-
-    Drop-in replacement for the binary heap: :meth:`pop` returns pending
-    ``(time, seq, event)`` tuples in exact ascending ``(time, seq)``
-    order, so same-time FIFO determinism is bit-identical to the heap.
-
-    Structure: pending tuples live in per-epoch *buckets* (``dict``
-    keyed by ``int(time / width)``) that stay unsorted until their epoch
-    comes up; a small min-heap of bucket ids yields the next non-empty
-    bucket directly, so there is no empty-bucket scanning even for
-    sparse horizons (40 ms delayed-ACK timers next to nanosecond wire
-    events).  The due bucket is sorted *descending* once (C ``sort``)
-    into a ready window popped from the end in O(1); same-time events
-    scheduled while draining are binary-insorted near the tail, which is
-    cheap because they are always the next-due entries.
-
-    The bucket ``width`` resizes itself toward a target mean occupancy
-    (Brown's heuristic, simplified): too-full buckets pay insertion-sort
-    churn, too-sparse buckets degenerate into a slower heap.  When the
-    distribution keeps defeating the heuristic (``resizes`` exhausts its
-    budget) the queue sets ``fallback_requested`` and the environment
-    swaps back to the binary heap mid-run.
-    """
-
-    __slots__ = ("_buckets", "_bids", "_ready", "_ready_bid", "_width",
-                 "_inv_width", "_len", "_loads", "_loaded", "resizes",
-                 "fallback_requested", "resize_counter")
-
-    #: mean bucket occupancy the resize heuristic steers toward
-    TARGET_OCCUPANCY = 16
-    #: relative occupancy band outside which a resize fires
-    HIGH_FACTOR = 8.0
-    LOW_FACTOR = 0.125
-    #: bucket loads between occupancy checks
-    CHECK_EVERY = 64
-    #: resize budget before requesting the heap fallback
-    MAX_RESIZES = 8
-    #: width clamp (seconds per bucket)
-    MIN_WIDTH = 1e-9
-    MAX_WIDTH = 10.0
-
-    def __init__(self, width: float = 1e-5):
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: dict = {}   # bucket id -> unsorted [(t, seq, ev)]
-        self._bids: List[int] = [] # min-heap of ids present in _buckets
-        self._ready: List[tuple] = []  # descending; pop from the end
-        self._ready_bid = -1       # highest bucket id merged into _ready
-        self._len = 0
-        self._loads = 0
-        self._loaded = 0
-        self.resizes = 0
-        self.fallback_requested = False
-        #: optional telemetry Counter mirroring ``resizes`` (the
-        #: ``engine.calendar_resizes`` instrumentation point)
-        self.resize_counter: Optional[Any] = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, item: tuple) -> None:
-        """Insert a ``(time, seq, event)`` tuple."""
-        bid = int(item[0] * self._inv_width)
-        if bid <= self._ready_bid:
-            # Belongs to the window already being drained: binary-insort
-            # into the descending ready list.  Same-time events land by
-            # the tail (they sort just above the already-drained point),
-            # so the list shift is short.
-            r = self._ready
-            lo, hi = 0, len(r)
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if r[mid] > item:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            r.insert(lo, item)
-        else:
-            bucket = self._buckets.get(bid)
-            if bucket is None:
-                self._buckets[bid] = [item]
-                _heappush(self._bids, bid)
-            else:
-                bucket.append(item)
-        self._len += 1
-
-    def pop(self) -> tuple:
-        """Remove and return the smallest ``(time, seq, event)`` tuple."""
-        r = self._ready
-        while not r:
-            self._refill()
-            r = self._ready
-        self._len -= 1
-        return r.pop()
-
-    def peek_time(self) -> float:
-        """Time of the next event; ``inf`` when empty."""
-        r = self._ready
-        while not r:
-            if not self._bids:
-                return float("inf")
-            self._refill()
-            r = self._ready
-        return r[-1][0]
-
-    def drain(self) -> List[tuple]:
-        """Remove and return every pending tuple (arbitrary order)."""
-        items = list(self._ready)
-        for bucket in self._buckets.values():
-            items.extend(bucket)
-        self._ready = []
-        self._buckets = {}
-        self._bids = []
-        self._ready_bid = -1
-        self._len = 0
-        return items
-
-    # -- internals ---------------------------------------------------------
-    def _refill(self) -> None:
-        if not self._bids:
-            raise SimulationError("pop from an empty calendar queue")
-        bid = _heappop(self._bids)
-        items = self._buckets.pop(bid)
-        self._ready_bid = bid
-        items.sort(reverse=True)
-        self._ready = items
-        self._loads += 1
-        self._loaded += len(items)
-        if self._loads >= self.CHECK_EVERY:
-            self._maybe_resize()
-
-    def _maybe_resize(self) -> None:
-        mean = self._loaded / self._loads
-        self._loads = 0
-        self._loaded = 0
-        target = self.TARGET_OCCUPANCY
-        too_full = mean > target * self.HIGH_FACTOR
-        too_sparse = (mean < target * self.LOW_FACTOR
-                      and self._len > 4 * target)
-        if not (too_full or too_sparse):
-            return
-        if self.resizes >= self.MAX_RESIZES:
-            self.fallback_requested = True
-            return
-        self._rebuild(self._width * target / max(mean, 0.01))
-
-    def _rebuild(self, new_width: float) -> None:
-        items = self.drain()
-        self._width = min(max(new_width, self.MIN_WIDTH), self.MAX_WIDTH)
-        self._inv_width = 1.0 / self._width
-        self.resizes += 1
-        if self.resize_counter is not None:
-            self.resize_counter.inc()
-        push = self.push
-        for item in items:
-            push(item)
 
 
 def _noop(event: "Event") -> None:
@@ -500,55 +329,22 @@ class Process(Event):
 class Environment:
     """The simulation clock and event queue."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._crashes: Deque[Tuple[Process, BaseException]] = deque()
         self._timeout_pool: List[Timeout] = []
         self._profiler: Optional[Any] = None
-        self._cal: Optional[CalendarQueue] = None
-        self._scheduler_swaps = 0
-        if scheduler is None:
-            from repro.core.knobs import env_value  # lazy: core imports sim
-            scheduler = env_value(SCHEDULER_ENV) or "heap"
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{_SCHEDULERS}")
-        if scheduler == "calendar":
-            self._cal = CalendarQueue()
-            self._push: Callable[[tuple], None] = self._cal.push
-            metrics = _active_metrics()
-            if metrics is not None:
-                self._cal.resize_counter = metrics.counter(
-                    "engine.calendar_resizes")
-        else:
-            # partial() keeps the heap push a single C call from the
-            # Timeout hot path (no bound-method dispatch).
-            self._push = partial(_heappush, self._queue)
+        # partial() keeps the heap push a single C call from the
+        # Timeout hot path (no bound-method dispatch).
+        self._push: Callable[[tuple], None] = partial(_heappush, self._queue)
         # Chaos first: a non-empty fault plan schedules its arm/fire/
         # recover events before anything else can, so they win (time,
-        # seq) ties against frame deliveries on every scheduler/data
-        # path; with no plan this is a single is-None test.
+        # seq) ties against frame deliveries; with no plan this is a
+        # single is-None test.
         _attach_chaos(self)
         _attach_environment(self)
-
-    # -- scheduler backend ---------------------------------------------------
-    @property
-    def scheduler(self) -> str:
-        """Name of the active event-queue backend."""
-        return "heap" if self._cal is None else "calendar"
-
-    @property
-    def calendar_resizes(self) -> int:
-        """Bucket-width resizes performed by the calendar backend (0 for
-        the heap; survives a fallback swap for telemetry)."""
-        cal = self._cal
-        return cal.resizes if cal is not None else self._fallback_resizes
-
-    _fallback_resizes = 0
 
     @property
     def events_scheduled(self) -> int:
@@ -559,47 +355,7 @@ class Environment:
 
     def pending_count(self) -> int:
         """Number of not-yet-dispatched events."""
-        return len(self._queue) if self._cal is None else len(self._cal)
-
-    def swap_scheduler(self, kind: str) -> None:
-        """Switch the pending-event backend mid-run.
-
-        Only *still-pending* events migrate: an event whose callbacks
-        already ran (``callbacks is None``) is filtered out, so a
-        ``run(until=...)`` re-entered after the swap can never
-        re-deliver an already-processed event.  Relative ``(time, seq)``
-        order of the survivors is preserved exactly, so the swap is
-        invisible to simulation results.
-        """
-        if kind not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {kind!r}; expected one of {_SCHEDULERS}")
-        if kind == self.scheduler:
-            return
-        if self._cal is None:
-            pending = [entry for entry in self._queue
-                       if entry[2].callbacks is not None]
-        else:
-            pending = [entry for entry in self._cal.drain()
-                       if entry[2].callbacks is not None]
-            self._fallback_resizes = self._cal.resizes
-        self._scheduler_swaps += 1
-        if kind == "heap":
-            self._cal = None
-            _heapify(pending)
-            self._queue = pending
-            self._push = partial(_heappush, self._queue)
-        else:
-            cal = CalendarQueue()
-            metrics = _active_metrics()
-            if metrics is not None:
-                cal.resize_counter = metrics.counter(
-                    "engine.calendar_resizes")
-            for entry in pending:
-                cal.push(entry)
-            self._queue = []
-            self._cal = cal
-            self._push = cal.push
+        return len(self._queue)
 
     def enable_profiling(self, profiler: Any) -> None:
         """Route dispatch through the self-profiling loop.
@@ -701,8 +457,9 @@ class Environment:
         """Call ``fn(*args)`` at the absolute instant ``at_time``.
 
         Unlike ``schedule_call(at_time - now, ...)`` the target is used
-        verbatim — no ``now + delay`` round trip — so batched data paths
-        can reproduce a legacy event chain's fire times bit-exactly.
+        verbatim — no ``now + delay`` round trip — so a callback chain
+        can fire exactly at an instant computed arithmetically (a
+        serialization end, a DMA completion).
         The returned event is pool-recycled like :meth:`schedule_call`'s.
         """
         if at_time < self._now:
@@ -751,20 +508,13 @@ class Environment:
     # -- execution -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
-        if self._cal is not None:
-            return self._cal.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        if self._cal is not None:
-            if not self._cal:
-                raise SimulationError("step() on an empty event queue")
-            self._now, _, event = self._cal.pop()
-        elif not self._queue:
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        else:
-            self._now, _, event = _heappop(self._queue)
+        self._now, _, event = _heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -793,8 +543,6 @@ class Environment:
         """
         if self._profiler is not None:
             return self._run_profiled(until)
-        if self._cal is not None:
-            return self._run_calendar(until)
         queue = self._queue
         pool = self._timeout_pool
         crashes = self._crashes
@@ -856,102 +604,14 @@ class Environment:
         self._now = horizon
         return None
 
-    def _run_calendar(self, until: Any = None) -> Any:
-        """:meth:`run` against the calendar-queue backend (same three
-        modes, same semantics).  The ready-window pop is inlined like
-        the heap loops; when the queue requests a heap fallback the
-        pending set migrates and the run continues there seamlessly."""
-        cal = self._cal
-        pool = self._timeout_pool
-        crashes = self._crashes
-        if until is None:
-            while cal._len:
-                ready = cal._ready
-                while not ready:
-                    cal._refill()
-                    if cal.fallback_requested:
-                        self.swap_scheduler("heap")
-                        return self.run(until)
-                    ready = cal._ready
-                cal._len -= 1
-                self._now, _, event = ready.pop()
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
-                if crashes:
-                    self._raise_crash()
-            return None
-        if isinstance(until, Event):
-            if until.callbacks is not None:
-                until.callbacks.append(_noop)
-            while until.callbacks is not None:
-                if not cal._len:
-                    raise SimulationError(
-                        "event queue drained before `until` event fired")
-                ready = cal._ready
-                while not ready:
-                    cal._refill()
-                    if cal.fallback_requested:
-                        self.swap_scheduler("heap")
-                        return self.run(until)
-                    ready = cal._ready
-                cal._len -= 1
-                self._now, _, event = ready.pop()
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
-                if crashes:
-                    self._raise_crash()
-            if not until._ok:
-                raise until._value from None
-            return until._value
-        horizon = float(until)
-        if horizon < self._now:
-            raise ScheduleInPastError(
-                f"run(until={horizon!r}) is before now={self._now!r}")
-        while cal._len:
-            if cal.peek_time() > horizon:
-                break
-            if cal.fallback_requested:
-                self.swap_scheduler("heap")
-                return self.run(horizon)
-            cal._len -= 1
-            self._now, _, event = cal._ready.pop()
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if callbacks:
-                for fn in callbacks:
-                    fn(event)
-            if event._pooled:
-                pool.append(event)
-            if crashes:
-                self._raise_crash()
-        self._now = horizon
-        return None
-
     # -- self-profiling -------------------------------------------------------
     def _step_profiled(self, prof: Any) -> None:
         """One :meth:`step` with event/heap accounting and wall-clock
         attribution of each callback to its owning component."""
-        cal = self._cal
-        depth = len(self._queue) if cal is None else len(cal)
-        if depth > prof.heap_hwm:
-            prof.heap_hwm = depth
-        if cal is None:
-            self._now, _, event = _heappop(self._queue)
-        else:
-            self._now, _, event = cal.pop()
+        queue = self._queue
+        if len(queue) > prof.heap_hwm:
+            prof.heap_hwm = len(queue)
+        self._now, _, event = _heappop(queue)
         tname = type(event).__name__
         counts = prof.event_counts
         counts[tname] = counts.get(tname, 0) + 1
@@ -967,7 +627,14 @@ class Environment:
                 if isinstance(owner, Process):
                     label = _component_of(owner.name)
                 else:
-                    label = "(callback)"
+                    # schedule_call events run through the shared
+                    # trampoline, and a periodic call's firing through
+                    # PeriodicCall._fire; charge the function they call.
+                    target = event.fn if fn is _run_call else fn
+                    periodic = getattr(target, "__self__", None)
+                    if isinstance(periodic, PeriodicCall):
+                        target = periodic.fn
+                    label = _callback_component(target)
                 start = perf_counter()  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
                 fn(event)
                 elapsed = perf_counter() - start  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
@@ -1012,5 +679,4 @@ class Environment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Environment now={self._now:.9f} "
-                f"pending={self.pending_count()} "
-                f"scheduler={self.scheduler}>")
+                f"pending={self.pending_count()}>")

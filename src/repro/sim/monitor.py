@@ -100,7 +100,7 @@ class CounterMonitor:
 
     def add(self, amount: float = 1.0, time: Optional[float] = None) -> None:
         """Accumulate ``amount`` at the current time (or an explicit
-        ``time`` — batched data paths stamp the instant the modelled
+        ``time`` — callback chains stamp the instant the modelled
         action completed, which may precede the callback running)."""
         now = self.env.now if time is None else time
         if self.first_time is None:

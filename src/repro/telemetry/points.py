@@ -47,10 +47,6 @@ _POINTS: Tuple[Tuple[str, str, str], ...] = (
      "as one burst; wire_frames counts TSO splits)"),
     ("nic.tx_train_frames", "hw",
      "Counter point: frames carried by closed transmit trains"),
-    # -- simulation engine ----------------------------------------------------
-    ("engine.calendar_resizes", "sim",
-     "Counter point: calendar-queue bucket-width rebuilds in the event "
-     "scheduler"),
     # -- hardware: NIC rx + interrupts ---------------------------------------
     ("nic.rx.frame", "hw", "Frame arrived from the wire into the rx ring"),
     ("nic.rx.drop", "hw", "Frame dropped at the full rx descriptor ring"),
@@ -148,7 +144,6 @@ def layer_of(point: str) -> str:
 #: Layer key -> user-facing section title, in documentation order.
 LAYER_TITLES: Tuple[Tuple[str, str], ...] = (
     ("hw", "Hardware"),
-    ("sim", "Simulation engine"),
     ("oskernel", "Kernel boundary"),
     ("tcp", "TCP"),
     ("net", "Network"),

@@ -6,9 +6,10 @@ processed event:
 
 * event counts by event type (``Timeout``, ``Event``, ``Process``),
 * callback counts and wall-clock seconds attributed to the *component*
-  that ran — derived from the process name by stripping the instance
-  prefix (``hostA.tcp.pump`` → ``tcp.pump``) so all hosts' senders
-  aggregate into one row,
+  that ran — for a process resume, its name with the instance prefix
+  stripped (``hostA.tcp.pump`` → ``tcp.pump``) so all hosts' senders
+  aggregate into one row; for a plain callback, the layer of the module
+  that defines it (``repro.hw.nic`` → ``hw.nic``),
 * the heap-depth high-water mark (pending events at dispatch).
 
 Profiling uses a separate dispatch loop in the engine, so a simulation
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-__all__ = ["EngineProfiler"]
+__all__ = ["EngineProfiler", "callback_component"]
 
 
 def component_of(name: str) -> str:
@@ -35,6 +36,20 @@ def component_of(name: str) -> str:
     name = name.split("#", 1)[0]
     head, sep, rest = name.partition(".")
     return rest if sep else head
+
+
+def callback_component(fn: Any) -> str:
+    """Aggregation key for a plain (non-process) callback: the module
+    that defines it, relative to the ``repro`` package.
+
+    ``repro.hw.nic.TenGigAdapter._tx_dma_done`` → ``hw.nic``; callables
+    from outside the package keep their full module name, and builtins
+    (no ``__module__``) are charged to their bound object's module.
+    """
+    module = getattr(fn, "__module__", None)
+    if module is None:
+        module = type(getattr(fn, "__self__", None)).__module__
+    return module[len("repro."):] if module.startswith("repro.") else module
 
 
 class EngineProfiler:

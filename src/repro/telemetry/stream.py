@@ -257,7 +257,7 @@ class StreamTap:
        :mod:`repro.telemetry.session`),
     2. publishes the metric series that changed since the last tick,
     3. publishes an engine heartbeat (sim time, events scheduled,
-       pending count, scheduler backend).
+       pending count).
     """
 
     __slots__ = ("bus", "session", "env", "interval_s", "_last_metrics",
@@ -296,7 +296,6 @@ class StreamTap:
             "time": now,
             "events_scheduled": env.events_scheduled,
             "pending": env.pending_count(),
-            "scheduler": env.scheduler,
         })
 
     def flush(self) -> None:

@@ -14,6 +14,7 @@ from repro.net.wanpath import (
 )
 from repro.oskernel.skbuff import SkBuff
 from repro.sim import Environment
+from tests.golden_cases import case_digest, golden
 
 
 class Collector:
@@ -105,3 +106,10 @@ def test_wanpath_congestion_drops_counted():
         path.head.receive_frame(SkBuff(payload=8948, headers=52))
     env.run()
     assert path.drops > 0
+
+
+def test_wan_transfer_matches_golden():
+    """A short TCP transfer over the full POS/router path (queues build
+    at the OC-192 -> OC-48 step) reproduces its golden digest."""
+    expected = golden("cases", "wan/des")
+    assert case_digest("wan/des") == expected

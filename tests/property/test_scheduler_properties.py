@@ -1,66 +1,33 @@
-"""Property-based determinism contracts for the event-queue backends
-and the train-batched data path.
-
-Three guarantees, each exercised over randomized inputs:
+"""Determinism contracts for the event queue and the segment-train data
+path.
 
 1. Same-time FIFO: events scheduled for the same instant fire in
-   insertion order, on the heap *and* the calendar queue.
-2. Backend equivalence: an identical workload produces a bit-identical
-   firing sequence (times compared with ``==`` on the floats, no
-   tolerance) under ``scheduler="heap"`` and ``scheduler="calendar"``.
-3. Data-path equivalence: a full TCP transfer produces bit-identical
-   results with segment-train batching on and off (``REPRO_TRAIN``) —
-   batching is a pure performance knob.
+   insertion order (randomized delays on a coarse grid, so collisions
+   are common).
+2. Pinned transfers: a fixed grid of back-to-back TCP transfers (MTU x
+   write count) reproduces its committed golden digest — byte counts,
+   elapsed time, goodput, CPU loads, retransmissions, TCP state and the
+   final simulation clock.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import TuningConfig
-from repro.net.topology import BackToBack
-from repro.net.train import TRAIN_ENV
 from repro.sim import Environment
-from repro.tcp.connection import TcpConnection
-from repro.tools.nttcp import nttcp_run
+from tests.golden_cases import case_digest, case_names, golden
 
 # Delays quantized to a coarse grid so same-time collisions are common
-# (the interesting case for FIFO ordering), plus exact sub-bucket
-# offsets to land several distinct times inside one calendar bucket.
+# (the interesting case for FIFO ordering).
 delay_grid = st.integers(min_value=0, max_value=40).map(lambda n: n * 2.5e-6)
 delay_lists = st.lists(delay_grid, min_size=1, max_size=80)
 
 
-def _record_workload(env, delays):
-    """Schedule a two-level workload; return the firing log.
-
-    Each top-level call re-schedules a child at a derived delay, so the
-    backends are also compared on events *inserted while draining* (the
-    calendar's ready-window insort path).
-    """
-    log = []
-
-    def child(tag):
-        log.append((env.now, "child", tag))
-
-    def fire(tag, delay):
-        log.append((env.now, "fire", tag))
-        env.schedule_call(delay / 2.0, child, tag)
-
-    for i, d in enumerate(delays):
-        env.schedule_call(d, fire, i, d)
-    env.run()
-    return log
-
-
 class TestSameTimeFifo:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
     @given(ds=delay_lists)
     @settings(max_examples=50, deadline=None)
-    def test_equal_times_fire_in_insertion_order(self, scheduler, ds):
-        env = Environment(scheduler=scheduler)
+    def test_equal_times_fire_in_insertion_order(self, ds):
+        env = Environment()
         fired = []
         for i, d in enumerate(ds):
             env.schedule_call(d, fired.append, (d, i))
@@ -71,40 +38,7 @@ class TestSameTimeFifo:
             assert indices == sorted(indices)
 
 
-class TestBackendEquivalence:
-    @given(ds=delay_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_heap_and_calendar_fire_identically(self, ds):
-        log_heap = _record_workload(Environment(scheduler="heap"), ds)
-        log_cal = _record_workload(Environment(scheduler="calendar"), ds)
-        assert log_heap == log_cal  # floats compared exactly
-
-
-def _run_transfer(batched, mtu, count):
-    """One nttcp transfer with train batching forced on or off."""
-    saved = os.environ.get(TRAIN_ENV)
-    os.environ[TRAIN_ENV] = "1" if batched else "0"
-    try:
-        env = Environment()
-        bb = BackToBack.create(env, TuningConfig.oversized_windows(mtu))
-        conn = TcpConnection(env, bb.a, bb.b)
-        result = nttcp_run(env, conn, payload=conn.mss, count=count)
-    finally:
-        if saved is None:
-            del os.environ[TRAIN_ENV]
-        else:
-            os.environ[TRAIN_ENV] = saved
-    return result, env.now
-
-
-class TestTrainBatchingEquivalence:
-    @given(mtu=st.sampled_from([1500, 8160, 9000, 16000]),
-           count=st.integers(min_value=4, max_value=48))
-    @settings(max_examples=15, deadline=None)
-    def test_transfer_bit_identical_on_vs_off(self, mtu, count):
-        res_on, now_on = _run_transfer(True, mtu, count)
-        res_off, now_off = _run_transfer(False, mtu, count)
-        # Every field bit-identical: byte counts, elapsed time, goodput,
-        # CPU loads, retransmissions — and the final simulation clock.
-        assert res_on == res_off
-        assert now_on == now_off
+@pytest.mark.parametrize("name", case_names("nttcp/"))
+def test_transfer_matches_golden(name):
+    expected = golden("cases", name)
+    assert case_digest(name) == expected

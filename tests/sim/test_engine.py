@@ -34,11 +34,14 @@ def test_run_until_time_stops_exactly():
     fired = []
     env.schedule_call(1.0, fired.append, "a")
     env.schedule_call(3.0, fired.append, "b")
+    assert env.pending_count() == 2
     env.run(until=2.0)
     assert fired == ["a"]
     assert env.now == 2.0
+    assert env.pending_count() == 1
     env.run(until=4.0)
     assert fired == ["a", "b"]
+    assert env.pending_count() == 0
 
 
 def test_run_until_past_raises():

@@ -65,9 +65,16 @@ class TestPersistence:
     def test_workers_reused_not_respawned(self):
         runner = SweepRunner(2)
         first = set(runner.map(_pid_point, list(range(8))))
+        created = pool.pool_stats()["pools_created"]
         second = set(runner.map(_pid_point, list(range(8))))
-        assert first == second            # same worker processes
-        assert os.getpid() not in first   # and not the parent
+        # The executor starts workers on demand, so which of them serve
+        # a given sweep is a scheduling race.  What must hold: no pool
+        # was rebuilt, and both sweeps ran in the live pool's workers.
+        assert pool.pool_stats()["pools_created"] == created
+        served = first | second
+        assert served <= set(pool._POOL._processes)
+        assert len(served) <= 2
+        assert os.getpid() not in served  # and never in the parent
 
     def test_resize_recycles_pool(self):
         SweepRunner(2).map(_square, list(range(4)))

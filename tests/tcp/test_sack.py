@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import TuningConfig
-from repro.net.faults import LossTap
+from repro.chaos import LossTap
 from repro.net.topology import BackToBack
 from repro.sim import Environment
 from repro.tcp.connection import TcpConnection

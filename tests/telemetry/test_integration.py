@@ -13,12 +13,12 @@ from collections import Counter as TallyCounter
 
 from repro.config import TuningConfig
 from repro.net.topology import BackToBack, ThroughSwitch, build_wan_path
-from repro.net.train import train_batching_enabled
 from repro.sim import Environment
 from repro.sim.runner import SweepRunner
 from repro.tcp.connection import TcpConnection
 from repro.telemetry.points import CATALOG
-from repro.telemetry.profiling import EngineProfiler, component_of
+from repro.telemetry.profiling import (EngineProfiler, callback_component,
+                                      component_of)
 from repro.telemetry.session import telemetry_session
 
 
@@ -118,6 +118,10 @@ class TestEngineProfiling:
         # host-instance prefixes are stripped: all senders aggregate
         assert "tcp.pump" in prof.callback_counts
         assert not any(key.startswith("hostA.") for key in prof.callback_counts)
+        # plain callbacks are charged to the layer that defines them
+        for layer in ("hw.nic", "tcp.receiver", "net.ethernet"):
+            assert layer in prof.callback_counts, layer
+        assert "(callback)" not in prof.callback_counts
         table = prof.render_table()
         assert "Engine profile" in table
         assert "wall-clock by component" in table
@@ -126,6 +130,26 @@ class TestEngineProfiling:
         assert component_of("hostA.tcp.pump") == "tcp.pump"
         assert component_of("oc192#17") == "oc192"
         assert component_of("pktgen") == "pktgen"
+
+    def test_callback_component_names_the_defining_layer(self):
+        from repro.hw.nic import TenGigAdapter
+        assert callback_component(TenGigAdapter._tx_dma_done) == "hw.nic"
+        assert callback_component([].append) == "builtins"
+
+    def test_periodic_call_charged_to_the_function_it_wraps(self):
+        ticks = []
+
+        def tick():
+            ticks.append(1)
+
+        with telemetry_session(metrics=False, profile=True) as session:
+            env = Environment()
+            handle = env.every(1.0, tick)
+            env.run(until=3.5)
+            handle.cancel()
+        counts = session.profile.callback_counts
+        assert counts[callback_component(tick)] == len(ticks) == 3
+        assert "sim.engine" not in counts
 
     def test_profiles_merge_additively(self):
         a, b = EngineProfiler(), EngineProfiler()
@@ -158,29 +182,9 @@ class TestPerfCounterPoints:
         counter = session.registry.counter("nic.tx_train_frames",
                                            nic=nic.name)
         assert counter.value == nic.tx_train_frames.total
-        if train_batching_enabled():
-            # every data frame rode a train, and bursts formed
-            assert counter.value >= 64
-            assert nic.mean_train_size() > 1.0
-
-    def test_calendar_resizes_counter_published(self):
-        with telemetry_session(metrics=True) as session:
-            env = Environment(scheduler="calendar")
-            # ~250 events per 10us bucket forces width rebuilds
-            for i in range(20_000):
-                env.schedule_call(i * 4e-8, lambda: None)
-            env.run()
-        assert env.calendar_resizes >= 1
-        counter = session.registry.counter("engine.calendar_resizes")
-        assert counter.value == env.calendar_resizes
-
-    def test_counters_silent_without_session(self):
-        env = Environment(scheduler="calendar")
-        for i in range(20_000):
-            env.schedule_call(i * 4e-8, lambda: None)
-        env.run()  # no registry attached: resizes still tracked locally
-        assert env.calendar_resizes >= 1
-
+        # every data frame rode a train, and bursts formed
+        assert counter.value >= 64
+        assert nic.mean_train_size() > 1.0
 
 def _sweep_point(task):
     """Module-level worker (pickled into pool processes)."""

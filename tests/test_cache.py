@@ -185,51 +185,6 @@ class TestShardedLayout:
         assert b.stats().entries == 1
 
 
-class TestV1Migration:
-    def _write_v1(self, cache, key, value):
-        """Write an entry exactly where the v1 flat layout kept it."""
-        import hashlib as _h
-        import pickle as _p
-        payload = _p.dumps(value, protocol=_p.HIGHEST_PROTOCOL)
-        blob = (b"RPROCACHE1\n"
-                + _h.sha256(payload).hexdigest().encode() + payload)
-        cache.path.mkdir(parents=True, exist_ok=True)
-        (cache.path / f"{key}.pkl").write_bytes(blob)
-
-    def test_flat_entries_migrated_without_recompute(self, tmp_path):
-        old = ResultCache(tmp_path / "c")
-        keys = [old.key(i) for i in range(4)]
-        for k in keys:
-            self._write_v1(old, k, f"v1:{k}")
-        cache = ResultCache(tmp_path / "c")
-        for k in keys:
-            assert cache.get(k) == (True, f"v1:{k}")  # hits, not misses
-        assert cache.misses == 0
-        # entries physically moved into their shards
-        for k in keys:
-            assert cache._file(k).is_file()
-            assert not (tmp_path / "c" / f"{k}.pkl").exists()
-        assert cache.stats().entries == len(keys)
-
-    def test_concurrent_legacy_writer_adopted(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.put(cache.key("warmup"), 0)  # migration already ran
-        key = cache.key("late")
-        self._write_v1(cache, key, "legacy")  # old process writes flat
-        assert cache.get(key) == (True, "legacy")
-        assert cache._file(key).is_file()  # adopted into its shard
-
-    def test_migration_is_idempotent(self, tmp_path):
-        old = ResultCache(tmp_path / "c")
-        key = old.key("x")
-        self._write_v1(old, key, "v")
-        a = ResultCache(tmp_path / "c")
-        assert a.get(key) == (True, "v")
-        b = ResultCache(tmp_path / "c")  # second open: nothing left to move
-        assert b.get(key) == (True, "v")
-        assert b.stats().entries == 1
-
-
 class TestEviction:
     def test_lru_eviction_order(self, tmp_path):
         cache = ResultCache(tmp_path / "c", max_bytes=10_000_000,
