@@ -8,7 +8,8 @@ statistics (unlike the one-shot experiment benches).
 
 from repro.config import TuningConfig
 from repro.net.topology import BackToBack
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
+from repro.sim.timeline import FifoTimeline
 from repro.tcp.connection import TcpConnection
 from repro.tools.nttcp import nttcp_run
 
@@ -50,19 +51,17 @@ def test_resource_contention(benchmark):
 
     def run():
         env = Environment()
-        res = Resource(env, capacity=1)
+        server = FifoTimeline(env, capacity=1)
 
-        def worker():
-            for _ in range(50):
-                req = res.request()
-                yield req
-                yield env.timeout(1e-7)
-                res.release(req)
+        def use(remaining):
+            if remaining:
+                _, end = server.charge(1e-7)
+                env.schedule_call_at(end, use, remaining - 1)
 
         for _ in range(20):
-            env.process(worker())
+            env.schedule_call(0.0, use, 50)
         env.run()
-        return res.grant_count
+        return server.charge_count
 
     grants = benchmark(run)
     assert grants == 1000
@@ -73,21 +72,17 @@ def test_store_pipeline(benchmark):
 
     def run():
         env = Environment()
-        store = Store(env)
         n = 2000
+        received = []
 
-        def producer():
-            for i in range(n):
-                yield store.put(i)
+        def produce(i):
+            env.schedule_call(0.0, received.append, i)
+            if i + 1 < n:
+                env.schedule_call(0.0, produce, i + 1)
 
-        def consumer():
-            for _ in range(n):
-                yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
+        produce(0)
         env.run()
-        return store.get_count
+        return len(received)
 
     assert benchmark(run) == 2000
 

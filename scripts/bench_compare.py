@@ -32,7 +32,7 @@ just this gate).
 The result cache has a warm/cold gate too (``--cache-only`` runs just
 this): the Fig. 3 quick sweep against a throwaway cache directory must
 run at least ``--cache-speedup`` (default 10x) faster warm than cold,
-produce bit-identical data, and the per-entry disk-tier ``get()`` p50
+produce bit-identical data, and the per-entry ``get()`` p50
 is recorded (under ``repro_metrics.cache``).
 
 Beyond the pytest-benchmark suite the script also records simulator
@@ -503,6 +503,22 @@ def measure_fabric_benchmark(threshold: float,
     return ok, metrics
 
 
+#: Subprocess driver: run one experiment (quick) and print its wall
+#: time and a SHA-256 of its data, so runs can be compared bit for bit.
+_SWEEP_DRIVER = r"""
+import hashlib, json, sys, time
+from repro.analysis.experiments import run_experiment
+t0 = time.perf_counter()
+data = run_experiment(sys.argv[1], quick=True).data
+wall = time.perf_counter() - t0
+# default=str renders dataclass reprs, which print floats at full repr
+# precision — hashing the dump is a bit-identity check.
+blob = json.dumps(data, sort_keys=True, default=str)
+json.dump({"wall": wall,
+           "sha": hashlib.sha256(blob.encode()).hexdigest()}, sys.stdout)
+"""
+
+
 def measure_cache_bench(speedup_gate: float,
                         repeats: int = 2) -> tuple:
     """Warm/cold result-cache gate on the Fig. 3 quick sweep.
@@ -510,16 +526,15 @@ def measure_cache_bench(speedup_gate: float,
     Runs ``fig3`` (quick) in fresh subprocesses against a throwaway
     cache directory: once cold (every point computed and stored), then
     warm (every point — and the whole experiment output — answered from
-    the sharded store).  Three checks, returned as ``(ok, metrics)``:
+    the store).  Three checks, returned as ``(ok, metrics)``:
 
     - **speedup** — the warm run must be at least ``speedup_gate``
       times faster than the cold one (best-of-``repeats`` warm rounds);
     - **bit-identity** — warm and cold runs must hash to the same
       experiment data (a cache hit is indistinguishable from a
       recompute);
-    - **warm p50 latency** — the per-entry disk-tier ``get()`` median,
-      measured over every key the sweep stored, using a fresh handle so
-      the in-process hot tier cannot flatter the number.
+    - **warm p50 latency** — the per-entry ``get()`` median, measured
+      over every key the sweep stored through a fresh handle.
     """
     import statistics
     import tempfile
@@ -550,7 +565,7 @@ def measure_cache_bench(speedup_gate: float,
             warm_wall = min(warm_wall, warm["wall"])
             warm_sha = warm["sha"]
 
-        # honest per-entry latency: fresh handle, disk tier, every key
+        # per-entry latency: fresh handle, every stored key
         sys.path.insert(0, str(ROOT / "src"))
         from repro.cache import ResultCache
         store = ResultCache(cache_dir)
@@ -561,7 +576,7 @@ def measure_cache_bench(speedup_gate: float,
             hit, _ = store.get(key)
             latencies.append(perf_counter() - start)
             if not hit:
-                raise SystemExit(f"cache-bench: indexed key {key} did not "
+                raise SystemExit(f"cache-bench: stored key {key} did not "
                                  f"read back")
         p50_ms = statistics.median(latencies) * 1e3 if latencies else 0.0
 
@@ -580,7 +595,7 @@ def measure_cache_bench(speedup_gate: float,
     print(f"  warm          {warm_wall:>9.3f} s  (best of {repeats})")
     print(f"  speedup       {speedup:>9.1f}x  (gate {speedup_gate:.0f}x)")
     print(f"  entries       {len(keys):>9}")
-    print(f"  get() p50     {p50_ms:>9.3f} ms  (disk tier, fresh handle)")
+    print(f"  get() p50     {p50_ms:>9.3f} ms  (fresh handle)")
     ok = True
     if not identical:
         print("\nFAIL: warm fig3 data differs from the cold run — the "

@@ -14,10 +14,10 @@ Each named experiment prints the same rows/series the paper reports
 Independent simulation points fan out over ``--jobs`` worker processes
 (default: ``REPRO_JOBS`` or serial; results are bit-identical either
 way) drawn from one persistent warm pool shared by every experiment in
-the invocation (``REPRO_POOL_PERSIST=0`` reverts to a pool per sweep),
-and completed work is memoized under ``.repro-cache/`` so warm reruns
-are near-instant (``--no-cache`` forces recomputation; see
-docs/CACHING.md for the store layout and sizing knobs).
+the invocation, and completed work is memoized under ``.repro-cache/``
+so warm reruns are near-instant (``--no-cache`` forces recomputation,
+``--clear-cache`` reclaims the space; see docs/CACHING.md for the
+store layout).
 
 Chaos (see docs/RESILIENCE.md): ``--chaos PLAN.json`` (or the
 ``REPRO_CHAOS`` environment variable) arms a declarative fault plan for
@@ -188,17 +188,11 @@ def main(argv: List[str] = None) -> int:
             print(name)
         return 0
     if args.cache_stats:
-        from repro.cache import SHARDS, cache_max_bytes
         stats = cache_stats()
-        cap = cache_max_bytes()
-        cap_note = (f", cap {cap / 1e6:.2f} MB" if cap is not None
-                    else "")
-        print(f"cache {stats.path}: {stats.entries} entries across "
-              f"{SHARDS} shards, {stats.size_bytes / 1e6:.2f} MB{cap_note}")
-        print(f"  this process: {stats.hits} hits "
-              f"({stats.hot_hits} hot) / {stats.misses} misses, "
-              f"{stats.stores} stores, {stats.evictions} evictions, "
-              f"{stats.errors} errors")
+        print(f"cache {stats.path}: {stats.entries} entries, "
+              f"{stats.size_bytes / 1e6:.2f} MB")
+        print(f"  this process: {stats.hits} hits / {stats.misses} "
+              f"misses, {stats.stores} stores, {stats.errors} errors")
         return 0
     if args.clear_cache:
         removed = clear_cache()

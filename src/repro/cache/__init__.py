@@ -10,16 +10,12 @@ figure after an *unrelated* edit (docs, tests, scripts) is near-instant,
 while touching any simulator source invalidates everything it could
 have influenced.
 
-The store is built for warm-sweep throughput (see docs/CACHING.md):
-the keyspace fans out over 256 shard directories, each shard keeps a
-compact append-only index loaded once per process (stats are O(shards),
-eviction is indexed LRU), and an in-process hot tier answers repeat
-``get()`` calls without touching the filesystem at all.  A v1 flat
-cache is migrated in place on first open — renames only, no recompute.
-
-Entries are self-validating: each file carries a magic header and a
-digest of the pickled payload, so truncated or corrupted files are
-detected, discarded and recomputed rather than crashed on.
+Each key is one file under a 256-way ``key[:2]/`` directory fan-out
+(see docs/CACHING.md).  Entries are self-validating: each file carries
+a magic header and a digest of the pickled payload, so truncated or
+corrupted files are detected, discarded and recomputed rather than
+crashed on.  The digest catches corruption, not tampering: entries are
+unpickled, so the cache directory must be trusted.
 
 Knobs
 -----
@@ -28,10 +24,6 @@ Knobs
   default); :func:`cache_context` scopes it programmatically.
 * ``REPRO_CACHE_DIR`` overrides the cache location (default
   ``./.repro-cache``).
-* ``REPRO_CACHE_MAX_BYTES`` caps the on-disk footprint; exceeding it
-  evicts least-recently-used entries.
-* ``REPRO_CACHE_HOT_ENTRIES`` / ``REPRO_CACHE_HOT_BYTES`` bound the
-  in-process hot tier (defaults: 512 entries / 128 MiB).
 * ``REPRO_CODE_FINGERPRINT`` overrides the computed source fingerprint
   (useful to tests and to pinned production deployments).
 """
@@ -44,16 +36,13 @@ from typing import Any, Optional
 
 from repro.cache.keys import (code_fingerprint, default_cache_dir,
                               stable_key)
-from repro.cache.store import (SHARDS, CacheStats, ResultCache,
-                               cache_max_bytes)
+from repro.cache.store import CacheStats, ResultCache
 
 __all__ = [
     "ResultCache",
     "CacheStats",
-    "SHARDS",
     "active_cache",
     "cache_context",
-    "cache_max_bytes",
     "cache_stats",
     "clear_cache",
     "code_fingerprint",

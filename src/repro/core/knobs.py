@@ -189,15 +189,6 @@ def _parse_optional_float(raw: Optional[str]) -> Optional[float]:
     return float(raw)  # call sites map ValueError to their error types
 
 
-def _parse_optional_int(raw: Optional[str]) -> Optional[int]:
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw.strip())
-    except ValueError:
-        return None  # historic lenient sites (cache caps) ignore garbage
-
-
 @dataclass(frozen=True)
 class EnvKnob:
     """One ``REPRO_*`` environment switch.
@@ -256,16 +247,6 @@ _register_env(
                 "serial and parallel runs are bit-identical by "
                 "contract.")
 _register_env(
-    "REPRO_POOL_PERSIST", True, parse_on_flag,
-    affects_results=False, keyed_via="none",
-    description="Keep one warm worker pool across sweeps (default on); "
-                "ambient-state capsules make reuse result-neutral.")
-_register_env(
-    "REPRO_POOL_CHUNK", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="Force the points-per-task batch size; chunking "
-                "preserves task order, results identical at any size.")
-_register_env(
     "REPRO_CACHE", False, parse_truthy_flag,
     affects_results=False, keyed_via="none",
     description="Enable the on-disk result cache process-wide; a hit "
@@ -274,18 +255,6 @@ _register_env(
     "REPRO_CACHE_DIR", None, _parse_optional_str,
     affects_results=False, keyed_via="none",
     description="Result-cache location (default ./.repro-cache).")
-_register_env(
-    "REPRO_CACHE_MAX_BYTES", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="On-disk cache cap; exceeding it evicts LRU entries.")
-_register_env(
-    "REPRO_CACHE_HOT_ENTRIES", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="In-process hot-tier entry bound (default 512).")
-_register_env(
-    "REPRO_CACHE_HOT_BYTES", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="In-process hot-tier byte bound (default 128 MiB).")
 _register_env(
     "REPRO_CODE_FINGERPRINT", None, _parse_optional_str,
     affects_results=False, keyed_via="none",

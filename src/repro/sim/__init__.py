@@ -2,15 +2,15 @@
 
 A small, dependency-free engine in the style of SimPy: generator-based
 processes yield :class:`~repro.sim.engine.Event` objects (timeouts,
-resource requests, store gets/puts) and are resumed when those events
-fire.  The engine is deterministic — equal-time events fire in schedule
-order — which makes every experiment in this repository exactly
-reproducible.
+other processes, hand-triggered events) and are resumed when those
+events fire.  Plain callbacks are scheduled with ``schedule_call``, and
+finite-capacity FIFO servers are
+:class:`~repro.sim.timeline.FifoTimeline` arithmetic, not events.  The
+engine is deterministic — equal-time events fire in schedule order —
+which makes every experiment in this repository exactly reproducible.
 """
 
-from repro.sim.engine import (Environment, Event, Timeout, Process, Interrupt,
-                              PeriodicCall)
-from repro.sim.resources import Resource, Request, Store, StorePut, StoreGet
+from repro.sim.engine import Environment, Event, Timeout, Process, PeriodicCall
 from repro.sim.monitor import Monitor, CounterMonitor, UtilizationMonitor
 from repro.sim.rng import RngStreams
 from repro.sim.runner import SweepRunner, job_context, point_seed, resolve_jobs
@@ -25,13 +25,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "PeriodicCall",
-    "Resource",
-    "Request",
-    "Store",
-    "StorePut",
-    "StoreGet",
     "Monitor",
     "CounterMonitor",
     "UtilizationMonitor",

@@ -1,11 +1,10 @@
 """Persistent warm worker pool + the one submit/collect dispatch path.
 
-Every sweep in this repository used to pay a fresh
-``ProcessPoolExecutor`` spin-up (fork, import, source-fingerprint walk)
-per call.  This module keeps **one long-lived pool** warm across
-sweeps and experiments and funnels every parallel point through a
-single :func:`submit` / :meth:`SweepHandle.collect` seam — the same
-seam a future job server will drive.
+A fresh ``ProcessPoolExecutor`` per sweep would pay a spin-up (fork,
+import, source-fingerprint walk) per call.  This module keeps **one
+long-lived pool** warm across sweeps and experiments and funnels every
+parallel point through a single :func:`submit` /
+:meth:`SweepHandle.collect` path.
 
 What makes the warm pool safe to share:
 
@@ -14,8 +13,8 @@ What makes the warm pool safe to share:
   sweep #50 under stale knobs.  Every batch therefore carries a capsule
   of the ambient state that can influence results — the ``REPRO_*``
   environment knobs (hybrid mode, chaos plan path, ...) and the explicitly-activated chaos fault plan — which the
-  worker applies before running the batch.  Results are bit-identical
-  to a per-sweep pool by construction.
+  worker applies before running the batch, so a reused worker computes
+  exactly what a freshly forked one would.
 * **Fingerprint shipped, not recomputed.**  The pool initializer
   exports the parent's :func:`~repro.cache.code_fingerprint` into each
   worker via ``REPRO_CODE_FINGERPRINT``, so no worker ever repeats the
@@ -23,21 +22,18 @@ What makes the warm pool safe to share:
 * **Batched dispatch.**  Points travel in chunks (one future per
   chunk, not per point), amortizing pickling and future bookkeeping on
   wide sweeps; chunking preserves task order, so results are identical
-  at any chunk size (``REPRO_POOL_CHUNK`` forces a size).
+  at any chunk size.
 * **Cache probe before submit.**  When a result cache is active every
   key is probed first and only misses are dispatched — a fully-warm
   sweep never touches the pool (or creates it) at all.
 
-Knobs: ``REPRO_POOL_PERSIST=0`` restores the per-sweep pool;
-``REPRO_POOL_CHUNK=N`` forces the batch size.  Telemetry counters
-``pool.tasks_dispatched`` and ``pool.reuse`` record dispatch traffic
-(see docs/CACHING.md).
+Telemetry counters ``pool.tasks_dispatched`` and ``pool.reuse`` record
+dispatch traffic (see docs/CACHING.md).
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +42,7 @@ from repro.cache import active_cache, code_fingerprint, stable_key
 from repro.chaos import hooks as chaos_hooks
 
 __all__ = ["SweepHandle", "submit", "dispatch", "shutdown_pool",
-           "pool_persist_enabled", "pool_stats", "resolve_chunk"]
+           "pool_stats", "resolve_chunk"]
 
 #: The shared executor (created lazily), its size, and the owning pid.
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -56,12 +52,6 @@ _POOL_PID: Optional[int] = None
 #: Lifetime dispatch accounting (mirrored into telemetry when active).
 _STATS = {"pools_created": 0, "pool_reuses": 0, "tasks_dispatched": 0,
           "batches_dispatched": 0, "points_inline": 0}
-
-
-def pool_persist_enabled() -> bool:
-    """True when the warm pool persists across sweeps (the default)."""
-    from repro.core.knobs import env_value  # lazy: core imports sim
-    return env_value("REPRO_POOL_PERSIST")
 
 
 def pool_stats() -> Dict[str, int]:
@@ -88,21 +78,14 @@ def _worker_init(fingerprint: str) -> None:
     os.environ["REPRO_CODE_FINGERPRINT"] = fingerprint
 
 
-def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool, bool]:
-    """``(executor, reused, ephemeral)`` for a dispatch of ``workers``.
+def _get_executor(workers: int) -> ProcessPoolExecutor:
+    """The warm pool for a dispatch of ``workers``.
 
-    Persistent mode reuses the module-level pool while its size
-    matches; a size change (or a fork — pools never cross a pid) tears
-    the old pool down first.  Ephemeral mode hands back a fresh pool
-    the caller must shut down.
+    The module-level pool is reused while its size matches; a size
+    change (or a fork — pools never cross a pid) tears the old pool
+    down first.
     """
     global _POOL, _POOL_WORKERS, _POOL_PID
-    init = (_worker_init, (code_fingerprint(),))
-    if not pool_persist_enabled():
-        _STATS["pools_created"] += 1
-        return (ProcessPoolExecutor(max_workers=workers,
-                                    initializer=init[0], initargs=init[1]),
-                False, True)
     if _POOL is not None and (_POOL_PID != os.getpid()
                               or _POOL_WORKERS != workers):
         if _POOL_PID == os.getpid():
@@ -113,14 +96,15 @@ def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool, bool]:
             _POOL_PID = None
     if _POOL is None:
         _POOL = ProcessPoolExecutor(max_workers=workers,
-                                    initializer=init[0], initargs=init[1])
+                                    initializer=_worker_init,
+                                    initargs=(code_fingerprint(),))
         _POOL_WORKERS = workers
         _POOL_PID = os.getpid()
         _STATS["pools_created"] += 1
-        return _POOL, False, False
+        return _POOL
     _STATS["pool_reuses"] += 1
     _count("pool.reuse")
-    return _POOL, True, False
+    return _POOL
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +189,12 @@ def _telemetry_point(fn: Callable, task: Any,
 # ---------------------------------------------------------------------------
 
 def resolve_chunk(pending: int, workers: int) -> int:
-    """Points per dispatched task (``REPRO_POOL_CHUNK`` overrides).
+    """Points per dispatched task.
 
-    Auto mode aims for ~4 chunks per worker — enough slack for dynamic
-    load balancing, few enough futures to amortize dispatch overhead on
-    wide sweeps — capped so one straggler chunk never dominates.
+    Aims for ~4 chunks per worker — enough slack for dynamic load
+    balancing, few enough futures to amortize dispatch overhead on wide
+    sweeps — capped so one straggler chunk never dominates.
     """
-    from repro.core.knobs import env_value  # lazy: core imports sim
-    forced = env_value("REPRO_POOL_CHUNK")
-    if forced is not None:
-        return max(1, forced)
     return max(1, min(-(-pending // (workers * 4)), 64))
 
 
@@ -231,15 +211,13 @@ class SweepHandle:
     :func:`submit` probes the cache and dispatches the misses; the
     handle owns the outstanding futures.  :meth:`collect` blocks for
     the remainder, memoizes fresh results and returns the full result
-    list in task order.  This split is the seam a job server schedules
-    through: submit many sweeps, collect as they drain.
+    list in task order.
     """
 
     def __init__(self, results: List[Any], pending: List[int],
                  keys: List[Optional[str]], cache: Optional[Any],
                  chunks: List[Tuple[List[int], Any]],
                  inline: Optional[Tuple[Callable, List[Any]]],
-                 executor: Optional[ProcessPoolExecutor], ephemeral: bool,
                  session: Optional[Any] = None, prefix_ns: str = ""):
         self._results = results
         self._pending = pending
@@ -247,8 +225,6 @@ class SweepHandle:
         self._cache = cache
         self._chunks = chunks          # [(indices, future)]
         self._inline = inline          # serial fallback: (runner, tasks)
-        self._executor = executor
-        self._ephemeral = ephemeral
         self._session = session
         self._prefix_ns = prefix_ns
         self._collected = False
@@ -263,18 +239,14 @@ class SweepHandle:
         if self._collected:
             return self._results
         self._collected = True
-        try:
-            if self._inline is not None:
-                runner, tasks = self._inline
-                for i in self._pending:
-                    self._finish(i, runner(tasks[i]))
-            else:
-                for indices, future in self._chunks:
-                    for i, value in zip(indices, future.result()):
-                        self._finish(i, value)
-        finally:
-            if self._ephemeral and self._executor is not None:
-                self._executor.shutdown()
+        if self._inline is not None:
+            runner, tasks = self._inline
+            for i in self._pending:
+                self._finish(i, runner(tasks[i]))
+        else:
+            for indices, future in self._chunks:
+                for i, value in zip(indices, future.result()):
+                    self._finish(i, value)
         return self._results
 
     def _finish(self, index: int, value: Any) -> None:
@@ -334,10 +306,10 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
         else:
             runner = fn
         return SweepHandle(results, pending, keys, cache, [],
-                           (runner, tasks), None, False,
-                           session=session, prefix_ns=prefix_ns)
+                           (runner, tasks), session=session,
+                           prefix_ns=prefix_ns)
     workers = min(jobs, len(pending))
-    executor, _reused, ephemeral = _get_executor(workers)
+    executor = _get_executor(workers)
     ambient = _capture_ambient()
     chunk = resolve_chunk(len(pending), workers)
     chunks: List[Tuple[List[int], Any]] = []
@@ -354,8 +326,7 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
     _STATS["batches_dispatched"] += len(chunks)
     _count("pool.tasks_dispatched", len(pending))
     return SweepHandle(results, pending, keys, cache, chunks, None,
-                       executor, ephemeral, session=session,
-                       prefix_ns=prefix_ns)
+                       session=session, prefix_ns=prefix_ns)
 
 
 def dispatch(fn: Callable[[Any], Any], tasks: Sequence[Any], *,

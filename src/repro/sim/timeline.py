@@ -1,24 +1,22 @@
-"""Arithmetic FIFO servers: resource semantics without the event cascade.
+"""Arithmetic FIFO servers: the DES's model of a finite-capacity server.
 
-A :class:`FifoTimeline` replaces a :class:`~repro.sim.resources.Resource`
-for the common pure ``request -> hold -> release`` cycle.  Because grants
-are strictly FIFO *and* the hold length is known at request time, the
-grant and completion instants are pure arithmetic::
+A :class:`FifoTimeline` models a CPU, a bus or a port that serves one
+``request -> hold -> release`` cycle at a time per unit of capacity.
+Because grants are strictly FIFO *and* the hold length is known at
+request time, the grant and completion instants are pure arithmetic::
 
     start = max(now, earliest server free)
     end   = start + hold
 
 :meth:`FifoTimeline.charge` commits the hold and returns ``(start, end)``;
 the caller sleeps until ``end`` with a single pooled timeout — or
-schedules a completion callback — instead of the request-grant /
-hold-timeout / release-regrant event cascade (one event instead of three
-per use).  Every grant and completion happens at exactly the simulated
-time the event-based resource would produce, so converting a call site is
-invisible in simulation results; only wall-clock time changes.
+schedules a completion callback — instead of a request-grant /
+hold-timeout / release-regrant event cascade (one event instead of
+three per use).
 
-The timeline cannot express holders that keep the server across *other*
-yields, nor cancellation of queued requests — call sites needing either
-stay on :class:`Resource`.
+The timeline cannot express holders that keep the server across
+*other* yields, nor cancellation of queued requests; no model in this
+repository needs either.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ __all__ = ["FifoTimeline"]
 class FifoTimeline:
     """A finite-capacity FCFS server granted by arithmetic, not events.
 
-    Capacity ``c`` models ``c`` identical servers with one FIFO queue
-    (exactly :class:`Resource` semantics: a request is granted when the
-    earliest-free unit frees up).
+    Capacity ``c`` models ``c`` identical servers with one FIFO queue: a
+    request is granted when the earliest-free unit frees up.
 
     Attributes
     ----------
@@ -44,7 +41,7 @@ class FifoTimeline:
         Total hold-seconds ever charged (including holds extending past
         the current simulation time).
     charge_count:
-        Number of charges, mirroring ``Resource.grant_count``.
+        Number of charges.
     """
 
     __slots__ = ("env", "capacity", "name", "_ends", "committed_time",
@@ -107,7 +104,7 @@ class FifoTimeline:
         return self.committed_time - future
 
     def utilization(self, elapsed: float = None) -> float:
-        """Fraction of capacity-time used since t=0 (Resource-compatible)."""
+        """Fraction of capacity-time used since t=0."""
         t = self.env.now if elapsed is None else elapsed
         if t <= 0:
             return 0.0

@@ -106,17 +106,13 @@ _POINTS: Tuple[Tuple[str, str, str], ...] = (
      "(armed as a no-op)"),
     # -- result cache ---------------------------------------------------------
     ("cache.hits", "cache",
-     "Counter point: result-cache lookups answered from the hot tier or "
-     "disk store"),
+     "Counter point: result-cache lookups answered from the store"),
     ("cache.misses", "cache",
      "Counter point: result-cache lookups that fell through to "
      "recomputation"),
-    ("cache.evictions", "cache",
-     "Counter point: entries evicted to honour REPRO_CACHE_MAX_BYTES "
-     "(least recently used first)"),
     ("cache.bytes", "cache",
      "Gauge point: on-disk footprint of the result cache after the last "
-     "store or eviction"),
+     "store"),
     # -- worker pool ----------------------------------------------------------
     ("pool.tasks_dispatched", "pool",
      "Counter point: sweep points dispatched to worker processes "

@@ -18,13 +18,12 @@ from repro.errors import ConfigError
 
 def test_registry_covers_the_runtime_switches():
     expected = {
-        "REPRO_JOBS", "REPRO_POOL_PERSIST", "REPRO_POOL_CHUNK", "REPRO_CACHE",
-        "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
-        "REPRO_CACHE_HOT_ENTRIES", "REPRO_CACHE_HOT_BYTES",
+        "REPRO_JOBS", "REPRO_CACHE", "REPRO_CACHE_DIR",
         "REPRO_CODE_FINGERPRINT", "REPRO_CHAOS", "REPRO_HYBRID",
         "REPRO_HYBRID_TICK", "REPRO_STREAM_TICK", "REPRO_SERVE_HOLD",
     }
     assert set(ENV_KNOBS) == expected
+    assert len(ENV_KNOBS) == 9
 
 
 def test_every_knob_declares_a_consistent_key_route():
@@ -57,14 +56,14 @@ def test_flag_parsers():
 
 
 def test_env_value_parses_and_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL_PERSIST", raising=False)
-    assert env_value("REPRO_POOL_PERSIST") is True
-    monkeypatch.setenv("REPRO_POOL_PERSIST", "off")
-    assert env_value("REPRO_POOL_PERSIST") is False
-    monkeypatch.setenv("REPRO_POOL_CHUNK", "7")
-    assert env_value("REPRO_POOL_CHUNK") == 7
-    monkeypatch.setenv("REPRO_POOL_CHUNK", "junk")  # historic leniency
-    assert env_value("REPRO_POOL_CHUNK") is None
+    monkeypatch.delenv("REPRO_HYBRID", raising=False)
+    assert env_value("REPRO_HYBRID") is True
+    monkeypatch.setenv("REPRO_HYBRID", "off")
+    assert env_value("REPRO_HYBRID") is False
+    monkeypatch.setenv("REPRO_HYBRID_TICK", "0.002")
+    assert env_value("REPRO_HYBRID_TICK") == 0.002
+    monkeypatch.setenv("REPRO_HYBRID_TICK", " ")  # blank means unset
+    assert env_value("REPRO_HYBRID_TICK") is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
+from repro.sim.timeline import FifoTimeline
 
 delays = st.lists(st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False, allow_infinity=False),
@@ -40,43 +41,17 @@ class TestResourceProperties:
                     min_size=1, max_size=25))
     @settings(max_examples=40)
     def test_resource_conserves_work(self, capacity, holds):
-        """Total busy time equals the sum of hold times, and the
-        makespan is bounded by the list-scheduling bound."""
+        """Once the queue drains, busy time equals the sum of hold
+        times, utilization is at most 1, and the makespan is bounded by
+        the list-scheduling bound."""
         env = Environment()
-        res = Resource(env, capacity=capacity)
-
-        def worker(hold):
-            req = res.request()
-            yield req
-            yield env.timeout(hold)
-            res.release(req)
-
-        for h in holds:
-            env.process(worker(h))
+        server = FifoTimeline(env, capacity=capacity)
+        for hold in holds:
+            _, end = server.charge(hold)
+            env.schedule_call_at(end, lambda: None)
         env.run()
-        assert res.busy_time == sum(holds) or abs(
-            res.busy_time - sum(holds)) < 1e-9
+        assert abs(server.busy_elapsed() - sum(holds)) < 1e-9
+        assert server.utilization() <= 1.0 + 1e-12
         lower = max(max(holds), sum(holds) / capacity)
         assert env.now >= lower - 1e-9
         assert env.now <= sum(holds) + 1e-9
-
-    @given(st.lists(st.integers(min_value=0, max_value=1000),
-                    min_size=1, max_size=100))
-    def test_store_is_fifo_and_lossless(self, items):
-        env = Environment()
-        store = Store(env)
-        out = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                out.append(value)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert out == items

@@ -45,23 +45,6 @@ class TestPersistence:
         assert stats["pools_created"] == before + 1
         assert stats["pool_reuses"] >= 1
 
-    def test_persist_off_spawns_per_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        runner = SweepRunner(2)
-        before = pool.pool_stats()["pools_created"]
-        runner.map(_square, list(range(4)))
-        runner.map(_square, list(range(4)))
-        assert pool.pool_stats()["pools_created"] == before + 2
-
-    def test_persistent_and_ephemeral_results_identical(self, monkeypatch):
-        tasks = list(range(10))
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
-        persistent = SweepRunner(2).map(_square, tasks)
-        pool.shutdown_pool()
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        ephemeral = SweepRunner(2).map(_square, tasks)
-        assert persistent == ephemeral == [t * t for t in tasks]
-
     def test_workers_reused_not_respawned(self):
         runner = SweepRunner(2)
         first = set(runner.map(_pid_point, list(range(8))))
@@ -95,19 +78,11 @@ class TestBatching:
         assert pool.resolve_chunk(100, 2) == 13
         assert pool.resolve_chunk(10_000, 4) == 64  # capped
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "5")
-        assert pool.resolve_chunk(100, 2) == 5
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "garbage")
-        assert pool.resolve_chunk(100, 2) == 13
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "-3")
-        assert pool.resolve_chunk(100, 2) == 1
-
     def test_batched_vs_unbatched_identical(self, monkeypatch):
         tasks = list(range(23))
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "1")
+        monkeypatch.setattr(pool, "resolve_chunk", lambda pending, workers: 1)
         unbatched = SweepRunner(2).map(_square, tasks)
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "7")
+        monkeypatch.setattr(pool, "resolve_chunk", lambda pending, workers: 7)
         batched = SweepRunner(2).map(_square, tasks)
         assert unbatched == batched == [t * t for t in tasks]
 

@@ -25,8 +25,6 @@ class FakeNic:
         self.env = env
         self.sent = []
         self.address = "fake.eth0"
-        from repro.sim.resources import Store
-        self._accept = Store(env)
 
     def send(self, skb):
         self.sent.append(skb)

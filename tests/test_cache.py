@@ -184,182 +184,28 @@ class TestShardedLayout:
         assert b.get(key) == (True, "value")
         assert b.stats().entries == 1
 
-
-class TestEviction:
-    def test_lru_eviction_order(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", max_bytes=10_000_000,
-                            hot_entries=0)
-        blob = "x" * 1000
-        keys = [cache.key(i) for i in range(5)]
-        now = [1000.0]
-
-        def clock():
-            now[0] += 1.0
-            return now[0]
-
-        import repro.cache.store as store_mod
-        orig = store_mod.time.time
-        store_mod.time.time = clock
-        try:
-            for k in keys:
-                cache.put(k, blob)
-            # touch keys[0] so keys[1] becomes the LRU victim
-            assert cache.get(keys[0])[0]
-            cache.max_bytes = cache.stats().size_bytes - 1
-            cache._evict_to_cap()
-        finally:
-            store_mod.time.time = orig
-        assert cache.evictions == 1
-        assert cache.get(keys[1]) == (False, None)   # LRU evicted
-        assert cache.get(keys[0])[0]                  # refreshed survivor
-        for k in keys[2:]:
-            assert cache.get(k)[0]
-
-    def test_put_evicts_down_to_cap(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", max_bytes=3000, hot_entries=0)
-        keys = [cache.key(i) for i in range(6)]
-        for k in keys:
-            cache.put(k, "y" * 900)  # ~1 KB each, cap fits ~3
-        stats = cache.stats()
-        assert stats.size_bytes <= 3000
-        assert stats.evictions >= 3
-        # the newest entry is always protected from its own eviction pass
-        assert cache.get(keys[-1])[0]
-
-    def test_no_cap_means_no_eviction(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
-        cache = ResultCache(tmp_path / "c")
-        for i in range(10):
-            cache.put(cache.key(i), "z" * 2000)
-        assert cache.evictions == 0
-        assert cache.stats().entries == 10
-
-    def test_env_cap_parsed(self, monkeypatch):
-        from repro.cache import cache_max_bytes
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
-        assert cache_max_bytes() == 12345
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "not-a-number")
-        assert cache_max_bytes() is None
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
-        assert cache_max_bytes() is None
-
-
-class TestHotTier:
-    def test_repeat_reads_skip_disk(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        key = cache.key("x")
-        cache.put(key, {"v": 1})
-        assert cache.get(key)[0]          # disk read, populates hot tier
-        cache._file(key).unlink()         # remove the backing file
-        assert cache.get(key) == (True, {"v": 1})  # still answered
-        assert cache.hot_hits == 1
-
-    def test_put_does_not_populate_hot_tier(self, tmp_path):
-        # Corruption detection depends on reads going to disk after a
-        # put: the first get must validate the file, not trust memory.
-        cache = ResultCache(tmp_path / "c")
-        key = cache.key("x")
-        cache.put(key, "value")
-        cache._file(key).write_bytes(b"garbage")
-        assert cache.get(key) == (False, None)
-        assert cache.errors == 1
-
-    def test_bounded_by_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", hot_entries=2)
-        keys = [cache.key(i) for i in range(3)]
-        for k in keys:
-            cache.put(k, k)
-            assert cache.get(k)[0]
-        assert cache.hot_hits == 0
-        # the last two reads are still hot; the first was evicted
-        for k in reversed(keys):
-            assert cache.get(k)[0]
-        assert cache.hot_hits == 2
-
-    def test_disabled_with_zero_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", hot_entries=0)
-        key = cache.key("x")
-        cache.put(key, "v")
-        assert cache.get(key)[0]
-        assert cache.get(key)[0]
-        assert cache.hot_hits == 0
-
-    def test_invalidate_purges_hot_tier(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        key = cache.key("x")
-        cache.put(key, "v")
-        assert cache.get(key)[0]
-        assert cache.invalidate(key)
-        assert cache.get(key) == (False, None)
-
-
-class TestIndexReconciliation:
-    def test_missing_index_rebuilt_from_scan(self, tmp_path):
+    def test_entry_files_are_the_only_state(self, tmp_path):
         a = ResultCache(tmp_path / "c")
-        keys = [a.key(i) for i in range(4)]
+        b = ResultCache(tmp_path / "c")
+        keys = [a.key(i) for i in range(5)]
         for k in keys:
-            a.put(k, k)
-        for index in (tmp_path / "c").glob("*/index.jsonl"):
-            index.unlink()
-        b = ResultCache(tmp_path / "c")
-        assert b.stats().entries == len(keys)
-        for k in keys:
-            assert b.get(k) == (True, k)
-
-    def test_dangling_index_record_reconciled(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        a.put(key, "v")
-        a._file(key).unlink()  # file gone, index record remains
-        b = ResultCache(tmp_path / "c")
-        assert b.get(key) == (False, None)
-        assert b.stats().entries == 0  # record dropped on reconcile
-
-    def test_unindexed_file_adopted_on_read(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        a.put(key, "v")
-        b = ResultCache(tmp_path / "c")
-        b._load_all_shards()  # load indexes first...
-        import shutil
-        shard_dir = a._file(key).parent
-        extra = a.key("y")
-        a.put(extra, "w")  # ...then another process stores an entry
-        b.reload()
+            a.put(k, "v" * (100 * len(keys)))
+        # leftovers that are not entries: a crashed writer's temp file
+        # and an index file written by an older version of the store
+        shard = a._file(keys[0]).parent
+        (shard / "tmpabc123.tmp").write_bytes(b"partial")
+        (shard / "index.jsonl").write_text('{"k":"stale","n":1,"t":0}\n')
+        files = list((tmp_path / "c").glob("*/*.pkl"))
+        stats = b.stats()
+        assert stats.entries == len(files) == len(keys)
+        assert stats.size_bytes == sum(f.stat().st_size for f in files)
+        assert b.keys() == sorted(keys)
+        # b sees a's later writes and removals with no reload step
+        extra = a.key("extra")
+        assert b.get(extra) == (False, None)
+        a.put(extra, "w")
         assert b.get(extra) == (True, "w")
-        assert b.stats().entries == 2
-
-    def test_torn_index_tail_skipped(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        a.put(key, "v")
-        index = a._file(key).parent / "index.jsonl"
-        with index.open("ab") as fh:
-            fh.write(b'{"k": "half-written')  # crashed writer's tail
-        b = ResultCache(tmp_path / "c")
-        assert b.get(key) == (True, "v")
-        assert b.stats().entries == 1
-
-    def test_index_compaction_bounds_file(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        key = cache.key("x")
-        shard_dir = cache._file(key).parent
-        for _ in range(60):  # 60 upserts + 60 tombstones for one key
-            cache.put(key, "v")
-            cache.invalidate(key)
-        cache.put(key, "v")
-        fresh = ResultCache(tmp_path / "c")
-        assert fresh.get(key) == (True, "v")
-        # load() compacted: the on-disk index shrank to ~the live set
-        lines = (shard_dir / "index.jsonl").read_bytes().splitlines()
-        assert len(lines) <= 17
-
-    def test_reload_picks_up_concurrent_writer(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        b = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        b.stats()  # b loads (empty) indexes
-        a.put(key, "v")
-        b.reload()
-        assert b.stats().entries == 1
-        assert b.get(key) == (True, "v")
+        assert a.invalidate(keys[0])
+        assert b.get(keys[0]) == (False, None)
+        assert b.stats().entries == len(keys)
+        assert keys[0] not in b.keys()

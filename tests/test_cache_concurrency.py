@@ -1,4 +1,4 @@
-"""Multi-process stress test: concurrent writers on one sharded cache.
+"""Multi-process stress test: concurrent writers on one cache directory.
 
 Several worker processes hammer the same cache directory through
 independent :class:`ResultCache` handles.  The contract under test:
@@ -93,7 +93,7 @@ def test_concurrent_writers_exact_accounting(tmp_path):
     assert not list(cache_dir.rglob("*.tmp"))
 
 
-def _index_racer(cache_dir, worker_id, keys, queue):
+def _churn_racer(cache_dir, worker_id, keys, queue):
     """Interleave puts and invalidates on overlapping keys."""
     try:
         cache = ResultCache(cache_dir)
@@ -107,14 +107,15 @@ def _index_racer(cache_dir, worker_id, keys, queue):
         queue.put((worker_id, repr(exc)))
 
 
-def test_interleaved_put_invalidate_never_corrupts_index(tmp_path):
-    """Churning writers + removers leave a loadable, consistent index."""
+def test_interleaved_put_invalidate_leaves_only_valid_entries(tmp_path):
+    """Churning writers + removers leave only whole, readable entries,
+    and the store's view is exactly the files on disk."""
     cache_dir = tmp_path / "c"
     probe = ResultCache(cache_dir)
     keys = [probe.key("churn", j) for j in range(6)]
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    procs = [ctx.Process(target=_index_racer,
+    procs = [ctx.Process(target=_churn_racer,
                          args=(cache_dir, i, keys, queue))
              for i in range(3)]
     for p in procs:
@@ -125,12 +126,9 @@ def test_interleaved_put_invalidate_never_corrupts_index(tmp_path):
         assert p.exitcode == 0
     for _, errors in reports:
         assert errors == 0
-    # a fresh handle loads every (possibly interleaved) index cleanly
-    # and its view matches the files actually on disk
+    # every surviving entry reads back whole, and a fresh handle's key
+    # set is exactly the entry files on disk
     fresh = ResultCache(cache_dir)
-    # an index record may outlive a racing remove (advisory by design);
-    # a get() reconciles each such record, so afterwards the index view
-    # converges exactly onto the surviving files
     for key in keys:
         hit, value = fresh.get(key)
         if hit:  # value shape: (worker_id, round)
