@@ -79,7 +79,8 @@ orthogonal mechanisms exploit that:
 ## Telemetry
 
 `repro.telemetry` instruments every layer: a labelled metrics registry
-(counters/gauges/histograms), 47 catalogued trace points riding the
+(counters/gauges/histograms), catalogued trace points (the generated
+list is in `docs/OBSERVABILITY.md`) riding the
 per-component `TraceBuffer` rings, Chrome-trace/JSONL/timeline
 exporters, and engine self-profiling.  Activate with
 `telemetry_session(...)` (before building the topology) or the CLI
@@ -102,8 +103,7 @@ fault's goodput trough, time-to-recover, lost bits and retransmission
 storm (the paper's §5 "one loss costs ~1.5 hours" arithmetic:
 `repro.analysis.resilience.wan_loss_report`, demo in
 `examples/chaos_storm.py`).  With no plan loaded the hooks cost one
-`None` check each — `scripts/bench_compare.py` gates that overhead at
-≤2%.  See `docs/RESILIENCE.md`.
+`None` check each and schedule no events.  See `docs/RESILIENCE.md`.
 
 ## Engine performance
 
@@ -113,8 +113,7 @@ per-frame cost arithmetically instead of waking a process per frame —
 over a binary-heap event queue (see `docs/PERFORMANCE.md`).  Results
 are pinned by the golden-digest corpus (`tests/golden.json`,
 regenerated with `python scripts/gen_golden.py`).
-`scripts/bench_compare.py` records events/sec and mean train size into
-`benchmarks/results/BENCH_<rev>.json`.
+`perfbench/` measures the simulator's speed end to end and per layer.
 """
 
 

@@ -45,10 +45,6 @@ _ACTIVE: Optional[Any] = None
 #: run never re-parses (or re-creates injector state for) the same file.
 _ENV_SESSIONS: Dict[str, Any] = {}
 
-#: Benchmark escape hatch: ``True`` turns every hook into a no-op so
-#: ``scripts/bench_compare.py`` can measure the pre-chaos baseline.
-_BYPASS = False
-
 #: Memoized :func:`repro.core.knobs.env_value` — bound on first hook
 #: use so this module stays import-light (repro.core transitively
 #: imports the simulator) without re-paying the import machinery on
@@ -67,12 +63,9 @@ def _env_value(name: str) -> Any:
 def active_chaos() -> Optional[Any]:
     """The active :class:`~repro.chaos.injector.ChaosSession`, or ``None``.
 
-    Resolution order: the bypass switch wins, then an explicit
-    ``chaos_session(...)`` activation, then the ``REPRO_CHAOS``
-    environment variable.
+    Resolution order: an explicit ``chaos_session(...)`` activation,
+    then the ``REPRO_CHAOS`` environment variable.
     """
-    if _BYPASS:
-        return None
     if _ACTIVE is not None:
         return _ACTIVE
     path = _env_value(CHAOS_ENV)

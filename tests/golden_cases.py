@@ -103,7 +103,7 @@ def nttcp_case(mtu, count):
     bb = BackToBack.create(env, TuningConfig.oversized_windows(mtu))
     conn = TcpConnection(env, bb.a, bb.b)
     result = nttcp_run(env, conn, payload=conn.mss, count=count)
-    return _endpoint_state(env, conn, result)
+    return _endpoint_state(env, conn, result), env.events_scheduled
 
 
 def losstap_case(drops):
@@ -112,8 +112,8 @@ def losstap_case(drops):
     conn = TcpConnection(env, bb.a, bb.b)
     tap = LossTap(env, bb.links[0], set(drops))
     result = nttcp_run(env, conn, payload=conn.mss, count=24)
-    return (_endpoint_state(env, conn, result), sorted(tap.drops),
-            len(tap.dropped))
+    return ((_endpoint_state(env, conn, result), sorted(tap.drops),
+             len(tap.dropped)), env.events_scheduled)
 
 
 def chaos_plan(seed, probability, start_step):
@@ -162,8 +162,9 @@ def wan_case():
     result = nttcp_run(env, conn, payload=conn.mss, count=256)
     routers = [bed.forward.ingress_router, bed.forward.bottleneck_router,
                bed.reverse.ingress_router, bed.reverse.bottleneck_router]
-    return (_endpoint_state(env, conn, result),
-            [(r.forwarded.total, r.drops.total) for r in routers])
+    return ((_endpoint_state(env, conn, result),
+             [(r.forwarded.total, r.drops.total) for r in routers]),
+            env.events_scheduled)
 
 
 def _key(values):
@@ -172,7 +173,9 @@ def _key(values):
 
 def cases():
     """``{case name: thunk}`` for every fixed-grid case (experiments
-    excluded); each thunk returns the value its digest is taken over."""
+    excluded); each thunk runs the case and returns ``(value,
+    events_scheduled)``: the value its digest is taken over and the
+    engine's event count."""
     table = {}
     for mtu in NTTCP_MTUS:
         for count in NTTCP_COUNTS:
@@ -182,8 +185,8 @@ def cases():
         table[f"losstap/{_key(drops)}"] = lambda d=drops: losstap_case(d)
     for seed, probability, start in CHAOS_PLANS:
         plan = chaos_plan(seed, probability, start)
-        table[f"chaos/seed{seed}"] = lambda p=plan: chaos_transfer(p)[0]
-    table["chaos/empty_plan"] = lambda: chaos_transfer(FaultPlan())[0]
+        table[f"chaos/seed{seed}"] = lambda p=plan: chaos_transfer(p)
+    table["chaos/empty_plan"] = lambda: chaos_transfer(FaultPlan())
     table["wan/des"] = wan_case
     return table
 
@@ -195,7 +198,7 @@ def case_names(prefix):
 
 def case_digest(name):
     """Digest of one fixed-grid case, run now."""
-    return golden_digest(cases()[name]())
+    return golden_digest(cases()[name]()[0])
 
 
 def event_counts():

@@ -25,6 +25,8 @@ from repro.telemetry.stream import (
     stream_tick_s,
 )
 from repro.tools.nttcp import nttcp_run
+from tests.golden_cases import cases, golden
+from tests.support import golden_digest
 
 
 def run_transfer(count=64, payload=8948):
@@ -149,18 +151,41 @@ class TestStreamTick:
 
 class TestLiveSession:
     def test_no_consumer_run_is_bit_identical(self):
-        """An attached but unobserved bus must not perturb the run."""
-        with telemetry_session(trace=True) as plain:
-            env_plain = run_transfer()
-        with telemetry_session(trace=True, bus=TelemetryBus()) as bussed:
-            env_bussed = run_transfer()
-        assert env_plain.events_scheduled == env_bussed.events_scheduled
+        """Unobserved instrumentation does no work.
+
+        Every fixed-grid golden case runs uninstrumented, then under a
+        session with metrics, tracing and the engine profiler, then
+        under the same session carrying an idle bus.  All three schedule
+        the same number of events; the two profiled runs dispatch the
+        same callbacks per layer and collect the same trace; the fully
+        instrumented run reproduces the case's golden digest."""
         # subjects/conn labels carry process-global connection idents,
         # so compare everything else
         strip = lambda evs: [
             (tr, t, p, {k: v for k, v in d.items() if k != "conn"})
             for tr, t, p, _, d in evs]
-        assert strip(plain.events) == strip(bussed.events)
+        digests = {}
+        for name, run in cases().items():
+            _, plain_events = run()
+            with telemetry_session(metrics=True, trace=True,
+                                   profile=True) as profiled:
+                _, profiled_events = run()
+            with telemetry_session(metrics=True, trace=True, profile=True,
+                                   bus=TelemetryBus()) as bussed:
+                value, bussed_events = run()
+            assert profiled.profile.events_total > 0, name
+            assert profiled_events == plain_events, name
+            assert bussed_events == plain_events, name
+            assert (bussed.profile.callback_counts
+                    == profiled.profile.callback_counts), name
+            assert (bussed.profile.events_total
+                    == profiled.profile.events_total), name
+            assert strip(bussed.events) == strip(profiled.events), name
+            digests[name] = golden_digest(value)
+        # last: golden() skips under an interpreter the corpus was not
+        # generated with, and the run-vs-run checks above hold anywhere
+        for name, digest in digests.items():
+            assert digest == golden("cases", name), name
 
     def test_live_run_streams_all_event_kinds(self):
         bus = TelemetryBus()
